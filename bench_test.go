@@ -63,7 +63,7 @@ func getBench(b *testing.B) *benchState {
 			benchErr = fmt.Errorf("building site: %w", err)
 			return
 		}
-		res, err := pipeline.Run(ds, site, pipeline.DefaultConfig())
+		res, err := runPipeline(ds, site, pipeline.DefaultConfig())
 		if err != nil {
 			benchErr = fmt.Errorf("running pipeline: %w", err)
 			return
@@ -79,6 +79,16 @@ func getBench(b *testing.B) *benchState {
 		b.Fatal(benchErr)
 	}
 	return &bench
+}
+
+// runPipeline is the one-shot Steps 2-6 run: Build followed by Result.
+func runPipeline(ds *dataset.Dataset, site *AnnotationSite, cfg pipeline.Config) (*pipeline.Result, error) {
+	ctx := context.Background()
+	b, err := pipeline.Build(ctx, ds, site, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return b.Result(ctx)
 }
 
 // --- Tables -----------------------------------------------------------------
@@ -103,7 +113,7 @@ func BenchmarkTable2_ClusteringStats(b *testing.B) {
 	}
 	var res *pipeline.Result
 	for i := 0; i < b.N; i++ {
-		res, err = pipeline.Run(st.ds, site, cfg)
+		res, err = runPipeline(st.ds, site, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -449,7 +459,7 @@ func BenchmarkPipelineRun(b *testing.B) {
 			cfg.Workers = workers
 			var res *pipeline.Result
 			for i := 0; i < b.N; i++ {
-				res, err = pipeline.Run(st.ds, site, cfg)
+				res, err = runPipeline(st.ds, site, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -461,14 +471,12 @@ func BenchmarkPipelineRun(b *testing.B) {
 }
 
 // BenchmarkEngineAssociate measures the serve-path throughput in isolation:
-// the Steps 2-5 index is built once outside the timed loop, then repeated
-// post batches stream through Engine.Associate. images_per_sec here is the
+// the Steps 2-5 build runs once outside the timed loop, then repeated post
+// batches stream through Engine.Associate. images_per_sec here is the
 // paper's §7 headline metric (~73 images/sec on two Titan Xp GPUs for
 // Step 6), tracked separately from the build cost BenchmarkPipelineRun pays
-// on every iteration. One sub-benchmark per registered index strategy makes
-// this the serve-path shoot-out the CI perf trajectory records: every
-// strategy returns bitwise-identical associations (see the engine and
-// internal/index equivalence tests), so the deltas are pure cost.
+// on every iteration. The one sub-benchmark, scan, is the linear Hamming
+// scan over the annotated medoids that serves Step 6.
 func BenchmarkEngineAssociate(b *testing.B) {
 	st := getBench(b)
 	site, err := st.ds.Site(true)
@@ -482,29 +490,42 @@ func BenchmarkEngineAssociate(b *testing.B) {
 			imagePosts++
 		}
 	}
-	for _, strategy := range IndexStrategies() {
-		b.Run(string(strategy), func(b *testing.B) {
-			eng, err := NewEngine(ctx, st.ds, site, WithIndex(strategy))
-			if err != nil {
+	b.Run("scan", func(b *testing.B) {
+		eng, err := NewEngine(ctx, st.ds, site)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Associate(ctx, st.ds.Posts); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Associate(ctx, st.ds.Posts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(imagePosts)*float64(b.N)/secs, "images_per_sec")
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		if secs := b.Elapsed().Seconds(); secs > 0 {
+			b.ReportMetric(float64(imagePosts)*float64(b.N)/secs, "images_per_sec")
+		}
+	})
 }
 
-// BenchmarkEngineMatch measures single-hash lookup latency per strategy —
-// the primitive a serving front-end pays per image — using the annotated
-// medoids themselves as queries.
+// annotatedMedoids returns the medoid hashes of the engine's annotated
+// clusters, the query set of the Match benchmarks.
+func annotatedMedoids(b *testing.B, eng *Engine) []Hash {
+	var queries []Hash
+	for _, c := range eng.Clusters() {
+		if c.Annotated() {
+			queries = append(queries, c.MedoidHash)
+		}
+	}
+	if len(queries) == 0 {
+		b.Skip("no annotated clusters")
+	}
+	return queries
+}
+
+// BenchmarkEngineMatch measures single-hash lookup latency — the primitive
+// a serving front-end pays per image — using the annotated medoids
+// themselves as queries.
 func BenchmarkEngineMatch(b *testing.B) {
 	st := getBench(b)
 	site, err := st.ds.Site(true)
@@ -512,29 +533,19 @@ func BenchmarkEngineMatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, strategy := range IndexStrategies() {
-		b.Run(string(strategy), func(b *testing.B) {
-			eng, err := NewEngine(ctx, st.ds, site, WithIndex(strategy))
-			if err != nil {
+	b.Run("scan", func(b *testing.B) {
+		eng, err := NewEngine(ctx, st.ds, site)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries := annotatedMedoids(b, eng)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := eng.Match(ctx, queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
-			var queries []Hash
-			for _, c := range eng.Clusters() {
-				if c.Annotated() {
-					queries = append(queries, c.MedoidHash)
-				}
-			}
-			if len(queries) == 0 {
-				b.Skip("no annotated clusters")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Match(ctx, queries[i%len(queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkEngineSnapshot measures the persistence path: Save cost, Load
@@ -574,17 +585,11 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 	})
 }
 
-// steadyStrategies are the index strategies whose sealed query path is
-// allocation-free in steady state: both compile to the flat BK-tree array
-// form and answer RadiusScratch from pooled scratch. CI pins their steady
-// benchmarks to 0 allocs/op, the same contract PhashExtraction carries.
-func steadyStrategies() []IndexStrategy { return []IndexStrategy{IndexBKTree, IndexSharded} }
-
 // BenchmarkEngineAssociateSteady measures the serve path the way a resident
 // server actually runs it: AssociateAppend into a recycled caller-owned
-// buffer, after one warm-up pass has grown the buffer and filled the query
-// scratch pool. The steady state must not allocate — allocs/op is the gated
-// quantity, throughput is informational.
+// buffer, after one warm-up pass has grown the buffer. The steady state
+// must not allocate — allocs/op is the gated quantity, throughput is
+// informational.
 func BenchmarkEngineAssociateSteady(b *testing.B) {
 	st := getBench(b)
 	site, err := st.ds.Site(true)
@@ -598,36 +603,34 @@ func BenchmarkEngineAssociateSteady(b *testing.B) {
 			imagePosts++
 		}
 	}
-	for _, strategy := range steadyStrategies() {
-		b.Run(string(strategy), func(b *testing.B) {
-			eng, err := NewEngine(ctx, st.ds, site, WithIndex(strategy))
+	b.Run("scan", func(b *testing.B) {
+		eng, err := NewEngine(ctx, st.ds, site)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Warm: grow the output buffer to capacity.
+		out, err := eng.AssociateAppend(ctx, st.ds.Posts, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err = eng.AssociateAppend(ctx, st.ds.Posts, out[:0])
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Warm: grow the output buffer to capacity and seed the pool.
-			out, err := eng.AssociateAppend(ctx, st.ds.Posts, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err = eng.AssociateAppend(ctx, st.ds.Posts, out[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(imagePosts)*float64(b.N)/secs, "images_per_sec")
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		if secs := b.Elapsed().Seconds(); secs > 0 {
+			b.ReportMetric(float64(imagePosts)*float64(b.N)/secs, "images_per_sec")
+		}
+	})
 }
 
 // BenchmarkEngineMatchSteady measures single-hash lookup in steady state:
-// the sealed flat index answers from pooled scratch, so the per-lookup
-// allocation count must be 0.
+// the medoid scan allocates nothing, so the per-lookup allocation count
+// must be 0.
 func BenchmarkEngineMatchSteady(b *testing.B) {
 	st := getBench(b)
 	site, err := st.ds.Site(true)
@@ -635,44 +638,25 @@ func BenchmarkEngineMatchSteady(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, strategy := range steadyStrategies() {
-		b.Run(string(strategy), func(b *testing.B) {
-			eng, err := NewEngine(ctx, st.ds, site, WithIndex(strategy))
-			if err != nil {
+	b.Run("scan", func(b *testing.B) {
+		eng, err := NewEngine(ctx, st.ds, site)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries := annotatedMedoids(b, eng)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := eng.Match(ctx, queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
-			var queries []Hash
-			for _, c := range eng.Clusters() {
-				if c.Annotated() {
-					queries = append(queries, c.MedoidHash)
-				}
-			}
-			if len(queries) == 0 {
-				b.Skip("no annotated clusters")
-			}
-			// Warm every query once: the pooled scratch grows to the
-			// largest result set before counting, so one-time growth
-			// never shows up as allocs/op.
-			for _, q := range queries {
-				if _, _, err := eng.Match(ctx, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Match(ctx, queries[i%len(queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkEngineSnapshotLoad measures load-to-first-query per snapshot
-// version from an on-disk file — the restart cost a serving box pays. v1
-// streams varints and rebuilds the medoid index; v2 mmaps the flat layout
-// and serves from the mapped bytes, so the index is loaded, not rebuilt.
+// BenchmarkEngineSnapshotLoad measures load-to-first-query from an on-disk
+// MEMESNAP v3 file — the restart cost a serving box pays: mmap, decode the
+// cluster table, rebuild the medoid scan, answer one Match.
 func BenchmarkEngineSnapshotLoad(b *testing.B) {
 	st := getBench(b)
 	site, err := st.ds.Site(true)
@@ -684,53 +668,34 @@ func BenchmarkEngineSnapshotLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var query Hash
-	found := false
-	for _, c := range eng.Clusters() {
-		if c.Annotated() {
-			query, found = c.MedoidHash, true
-			break
-		}
+	query := annotatedMedoids(b, eng)[0]
+	path := filepath.Join(b.TempDir(), "engine.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
 	}
-	if !found {
-		b.Skip("no annotated clusters")
+	if err := eng.Save(f); err != nil {
+		b.Fatal(err)
 	}
-	dir := b.TempDir()
-	for _, v := range []struct {
-		name    string
-		version uint32
-	}{{"v1", SnapshotV1}, {"v2", SnapshotV2}} {
-		path := filepath.Join(dir, v.name+".snap")
-		f, err := os.Create(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.SaveVersion(f, v.version); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(v.name, func(b *testing.B) {
-			// Drain garbage (and mapped snapshots awaiting finalizers) so
-			// the loop measures the load, not a GC over the corpus heap.
-			runtime.GC()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				loaded, err := LoadEngineFile(path, site)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := loaded.Match(ctx, query); err != nil {
-					b.Fatal(err)
-				}
-				if err := loaded.Close(); err != nil {
-					b.Fatal(err)
-				}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("v3", func(b *testing.B) {
+		// Drain garbage so the loop measures the load, not a GC over the
+		// corpus heap.
+		runtime.GC()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			loaded, err := LoadEngineFile(path, site)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if _, _, err := loaded.Match(ctx, query); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkPerf_AssociationThroughput measures the Step 6 association rate
@@ -751,16 +716,16 @@ func BenchmarkPerf_AssociationThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Run(st.ds, site, cfg); err != nil {
+		if _, err := runPipeline(st.ds, site, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(imagePosts), "images_per_op")
 }
 
-// BenchmarkAblation_IndexVsBrute compares the BK-tree/multi-index
-// neighbourhood search against a brute-force scan, the design choice that
-// replaces the paper's GPU pairwise engine.
+// BenchmarkAblation_IndexVsBrute compares the multi-index neighbourhood
+// probe against a brute-force scan, the design choice Neighbourhoods makes
+// on large corpora in place of the paper's GPU pairwise engine.
 func BenchmarkAblation_IndexVsBrute(b *testing.B) {
 	st := getBench(b)
 	hashes, _, _ := st.ds.FringeImageHashes()

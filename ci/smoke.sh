@@ -55,11 +55,11 @@ step "building engine, saving snapshot, capturing the reference summary"
 expected_assoc=$(jq -r '.associations' "$workdir/pipeline.json")
 [ "$expected_assoc" -gt 0 ] || { echo "FAIL: pipeline summary reports no associations"; exit 1; }
 
-step "saved snapshot is MEMESNAP v2 (flat, mmap-servable)"
+step "saved snapshot is MEMESNAP v3"
 magic=$(head -c 8 "$workdir/engine.snap")
 [ "$magic" = "MEMESNAP" ] || { echo "FAIL: snapshot magic is '$magic', want MEMESNAP"; exit 1; }
 snap_version=$(od -An -tu4 -j8 -N4 "$workdir/engine.snap" | tr -d ' ')
-[ "$snap_version" = "2" ] || { echo "FAIL: snapshot version is $snap_version, want 2"; exit 1; }
+[ "$snap_version" = "3" ] || { echo "FAIL: snapshot version is $snap_version, want 3"; exit 1; }
 
 addr=127.0.0.1:18080
 step "booting memeserve on $addr"
@@ -224,7 +224,7 @@ jq -e '.ingest.enabled == true and .ingest.ingested == 5 and .ingest.reclusters 
        and .requests.ingest == 1 and .requests.errors == 0' \
   "$workdir/stats_ingest.json" >/dev/null
 
-step "ingest compaction emits a v2 base snapshot"
+step "ingest compaction emits a v3 base snapshot"
 base=""
 for _ in $(seq 1 150); do
   base=$(ls "$workdir/deltas"/base-*.snap 2>/dev/null | tail -n1)
@@ -233,7 +233,7 @@ for _ in $(seq 1 150); do
 done
 [ -n "$base" ] || { echo "FAIL: compaction never wrote a base snapshot"; exit 1; }
 base_version=$(od -An -tu4 -j8 -N4 "$base" | tr -d ' ')
-[ "$base_version" = "2" ] || { echo "FAIL: compacted base $base is version $base_version, want 2"; exit 1; }
+[ "$base_version" = "3" ] || { echo "FAIL: compacted base $base is version $base_version, want 3"; exit 1; }
 curl -fsS "http://$addr/v1/statsz" >"$workdir/stats_compact.json"
 jq -e '.ingest.compactions >= 1' "$workdir/stats_compact.json" >/dev/null
 
@@ -352,4 +352,4 @@ if ! wait "$server_pid"; then
 fi
 server_pid=""
 
-echo "SMOKE PASSED: healthz, readyz, match, associate ($expected_assoc associations), influence + report + metrics/statsz agreement, 2 hot reloads, ingest + v2 compaction + journal replay, decision-log capture + memereport replay, degraded-journal read-only mode + self-heal, graceful shutdown"
+echo "SMOKE PASSED: healthz, readyz, match, associate ($expected_assoc associations), influence + report + metrics/statsz agreement, 2 hot reloads, ingest + v3 compaction + journal replay, decision-log capture + memereport replay, degraded-journal read-only mode + self-heal, graceful shutdown"

@@ -1,11 +1,11 @@
 // Command memebench executes the repo's named performance benchmark set —
 // the build path (BenchmarkPipelineRun), the clustering phase
-// (BenchmarkDBSCAN), the serve path per index strategy
+// (BenchmarkDBSCAN), the Step 6 medoid scan on the serve path
 // (BenchmarkEngineAssociate), the zero-alloc steady-state serve paths
 // (EngineAssociateSteady, EngineMatchSteady), Step 1 hashing
 // (BenchmarkPhashExtraction), the streaming ingest fast path (Ingest,
-// posts/sec through Ingestor.Ingest), and snapshot load-to-first-query per
-// format version (EngineSnapshotLoad) — and writes one BENCH_<label>.json
+// posts/sec through Ingestor.Ingest), and MEMESNAP v3 load-to-first-query
+// (EngineSnapshotLoad) — and writes one BENCH_<label>.json
 // document with ns/op, allocs/op, and the custom throughput metrics, using
 // the same machine-readable conventions as the CLIs' -format json stats.
 // The emitted file is one point of the repo's performance trajectory: CI
@@ -104,27 +104,12 @@ func main() {
 		w := w
 		run(fmt.Sprintf("DBSCAN/workers_%d", w), func(b *testing.B) { st.benchDBSCAN(b, w) })
 	}
-	for _, strategy := range memes.IndexStrategies() {
-		strategy := strategy
-		run("EngineAssociate/"+string(strategy), func(b *testing.B) { st.benchEngineAssociate(b, strategy) })
-	}
-	for _, strategy := range steadyStrategies() {
-		strategy := strategy
-		run("EngineAssociateSteady/"+string(strategy), func(b *testing.B) { st.benchEngineAssociateSteady(b, strategy) })
-	}
-	for _, strategy := range steadyStrategies() {
-		strategy := strategy
-		run("EngineMatchSteady/"+string(strategy), func(b *testing.B) { st.benchEngineMatchSteady(b, strategy) })
-	}
+	run("EngineAssociate/scan", st.benchEngineAssociate)
+	run("EngineAssociateSteady/scan", st.benchEngineAssociateSteady)
+	run("EngineMatchSteady/scan", st.benchEngineMatchSteady)
 	// Load-to-first-query runs before the heap-heavy Ingest benchmark so a
 	// GC cycle over ingest garbage cannot land inside the short timed loop.
-	for _, v := range []struct {
-		name    string
-		version uint32
-	}{{"v1", memes.SnapshotV1}, {"v2", memes.SnapshotV2}} {
-		v := v
-		run("EngineSnapshotLoad/"+v.name, func(b *testing.B) { st.benchEngineSnapshotLoad(b, v.version) })
-	}
+	run("EngineSnapshotLoad/v3", st.benchEngineSnapshotLoad)
 	run("PhashExtraction", func(b *testing.B) { benchPhashExtraction(b) })
 	run("Ingest", func(b *testing.B) { st.benchIngest(b) })
 
@@ -167,18 +152,12 @@ func main() {
 }
 
 // gatedPrefixes names the benchmark families the -baseline gate covers: the
-// end-to-end build path and the per-strategy serve path.
+// end-to-end build path and the serve-path medoid scan.
 var gatedPrefixes = []string{"PipelineRun/", "EngineAssociate/"}
 
 // allocGatedPrefixes names the families whose allocs/op is a hard ceiling:
 // the zero-alloc steady-state serve paths and Step 1 hashing.
 var allocGatedPrefixes = []string{"EngineAssociateSteady/", "EngineMatchSteady/", "PhashExtraction"}
-
-// steadyStrategies lists the index strategies whose steady-state serve path
-// is pinned to zero allocations (the flat BK-tree forms).
-func steadyStrategies() []memes.IndexStrategy {
-	return []memes.IndexStrategy{memes.IndexBKTree, memes.IndexSharded}
-}
 
 // validateLabel rejects labels that would escape the working directory when
 // interpolated into the BENCH_<label>.json output filename.
@@ -221,11 +200,14 @@ func (st *benchState) benchPipelineRun(b *testing.B, workers int) {
 	cfg := pipeline.DefaultConfig()
 	cfg.Workers = workers
 	b.ReportAllocs()
+	ctx := context.Background()
 	var res *pipeline.Result
-	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = pipeline.Run(st.ds, st.site, cfg)
+		built, err := pipeline.Build(ctx, st.ds, st.site, cfg, nil)
 		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err = built.Result(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,9 +237,13 @@ func (st *benchState) benchDBSCAN(b *testing.B, workers int) {
 	b.ReportMetric(res.Neighbourhoods.PointsPerSec(), "neighbour_points_per_sec")
 }
 
-func (st *benchState) benchEngineAssociate(b *testing.B, strategy memes.IndexStrategy) {
+// benchEngineAssociate measures Step 6 throughput on one worker, so the
+// gated images/sec is the scan's own speed and compares across machines
+// with different core counts: at the default GOMAXPROCS fan-out a 2×
+// slower scan on a 2-core box still matched a 1-core baseline.
+func (st *benchState) benchEngineAssociate(b *testing.B) {
 	ctx := context.Background()
-	eng, err := memes.NewEngine(ctx, st.ds, st.site, memes.WithIndex(strategy))
+	eng, err := memes.NewEngine(ctx, st.ds, st.site, memes.WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,11 +268,11 @@ func (st *benchState) benchEngineAssociate(b *testing.B, strategy memes.IndexStr
 
 // benchEngineAssociateSteady measures the serve path the way a resident
 // server runs it: AssociateAppend into a recycled caller-owned buffer, after
-// one warm-up pass has grown the buffer and seeded the query scratch pool.
-// Allocs/op is the gated quantity; throughput is informational.
-func (st *benchState) benchEngineAssociateSteady(b *testing.B, strategy memes.IndexStrategy) {
+// one warm-up pass has grown the buffer. Allocs/op is the gated quantity;
+// throughput is informational.
+func (st *benchState) benchEngineAssociateSteady(b *testing.B) {
 	ctx := context.Background()
-	eng, err := memes.NewEngine(ctx, st.ds, st.site, memes.WithIndex(strategy))
+	eng, err := memes.NewEngine(ctx, st.ds, st.site)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,11 +301,10 @@ func (st *benchState) benchEngineAssociateSteady(b *testing.B, strategy memes.In
 }
 
 // benchEngineMatchSteady measures single-hash Match against annotated
-// medoids after one warm-up query has seeded the scratch pool; the steady
-// state must report zero allocs/op.
-func (st *benchState) benchEngineMatchSteady(b *testing.B, strategy memes.IndexStrategy) {
+// medoids; the steady state must report zero allocs/op.
+func (st *benchState) benchEngineMatchSteady(b *testing.B) {
 	ctx := context.Background()
-	eng, err := memes.NewEngine(ctx, st.ds, st.site, memes.WithIndex(strategy))
+	eng, err := memes.NewEngine(ctx, st.ds, st.site)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -332,13 +317,6 @@ func (st *benchState) benchEngineMatchSteady(b *testing.B, strategy memes.IndexS
 	if len(queries) == 0 {
 		b.Fatal("no annotated clusters in bench corpus")
 	}
-	// Warm every query once: the pooled scratch grows to the largest result
-	// set before counting, so one-time growth never shows up as allocs/op.
-	for _, q := range queries {
-		if _, _, err := eng.Match(ctx, q); err != nil {
-			b.Fatal(err)
-		}
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -349,9 +327,8 @@ func (st *benchState) benchEngineMatchSteady(b *testing.B, strategy memes.IndexS
 }
 
 // benchEngineSnapshotLoad measures load-to-first-query: LoadEngineFile on a
-// saved snapshot of the given format version followed by one Match. The v2
-// point is the headline the flat format exists for.
-func (st *benchState) benchEngineSnapshotLoad(b *testing.B, version uint32) {
+// saved snapshot followed by one Match.
+func (st *benchState) benchEngineSnapshotLoad(b *testing.B) {
 	ctx := context.Background()
 	eng, err := memes.NewEngine(ctx, st.ds, st.site)
 	if err != nil {
@@ -373,20 +350,19 @@ func (st *benchState) benchEngineSnapshotLoad(b *testing.B, version uint32) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, fmt.Sprintf("v%d.snap", version))
+	path := filepath.Join(dir, "engine.snap")
 	f, err := os.Create(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := eng.SaveVersion(f, version); err != nil {
+	if err := eng.Save(f); err != nil {
 		b.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	// Drain garbage from the build and earlier benchmarks (and any mapped
-	// snapshots awaiting finalizers) so the timed loop measures the load,
-	// not a GC cycle over the whole process heap.
+	// Drain garbage from the build and earlier benchmarks so the timed loop
+	// measures the load, not a GC cycle over the whole process heap.
 	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()

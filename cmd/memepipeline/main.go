@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	memepipeline -in ./corpus [-eps 8] [-theta 8] [-workers N] [-index bktree|multiindex|sharded]
+//	memepipeline -in ./corpus [-eps 8] [-theta 8] [-workers N]
 //	             [-save engine.snap] [-load engine.snap] [-format text|json] [-graph graph.json]
 //
 // With -format text (the default) the summary goes to stdout and the timing
@@ -12,7 +12,7 @@
 // JSON document carrying the full clustering/association summary plus the
 // run stats is written to stdout.
 //
-// -save writes the built engine (Steps 2-5 output) as a versioned binary
+// -save writes the built engine (Steps 2-5 output) as a MEMESNAP v3
 // snapshot; -load reconstitutes the engine from such a snapshot instead of
 // building, so only Step 6 runs — build once on a big box, serve the
 // snapshot anywhere. With -load the clustering flags (-eps, -theta) are
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"github.com/memes-pipeline/memes"
 	"github.com/memes-pipeline/memes/internal/analysis"
@@ -39,7 +38,6 @@ func main() {
 	eps := flag.Int("eps", 8, "DBSCAN clustering threshold")
 	theta := flag.Int("theta", 8, "annotation/association Hamming threshold")
 	workers := flag.Int("workers", 0, "worker pool size for every pipeline stage (0 = GOMAXPROCS)")
-	indexStrategy := flag.String("index", "", "medoid index strategy (empty = default): "+strategyList())
 	savePath := flag.String("save", "", "write the built engine snapshot to this file")
 	loadPath := flag.String("load", "", "load the engine from this snapshot instead of building (skips Steps 2-5)")
 	format := flag.String("format", "text", "output format: text or json")
@@ -63,15 +61,11 @@ func main() {
 
 	var eng *memes.Engine
 	if *loadPath != "" {
-		opts := []memes.Option{memes.WithDataset(ds), memes.WithWorkers(*workers)}
-		if *indexStrategy != "" {
-			opts = append(opts, memes.WithIndex(memes.IndexStrategy(*indexStrategy)))
-		}
 		f, err := os.Open(*loadPath)
 		if err != nil {
 			log.Fatalf("opening snapshot: %v", err)
 		}
-		eng, err = memes.LoadEngine(f, site, opts...)
+		eng, err = memes.LoadEngine(f, site, memes.WithDataset(ds), memes.WithWorkers(*workers))
 		f.Close()
 		if err != nil {
 			log.Fatalf("loading engine snapshot: %v", err)
@@ -83,8 +77,7 @@ func main() {
 			memes.WithEps(*eps),
 			memes.WithAnnotationThreshold(*theta),
 			memes.WithAssociationThreshold(*theta),
-			memes.WithWorkers(*workers),
-			memes.WithIndex(memes.IndexStrategy(*indexStrategy)))
+			memes.WithWorkers(*workers))
 		if err != nil {
 			log.Fatalf("building engine: %v", err)
 		}
@@ -144,16 +137,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote cluster graph (%d nodes, %d edges) to %s\n",
 			len(g.Nodes), len(g.Edges), *graphOut)
 	}
-}
-
-// strategyList renders the registered index strategies for the -index flag
-// help text.
-func strategyList() string {
-	var names []string
-	for _, s := range memes.IndexStrategies() {
-		names = append(names, string(s))
-	}
-	return strings.Join(names, ", ")
 }
 
 // The JSON document mirrors the text summary (clustering rows, association

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	memeserve -load engine.snap -in ./corpus [-addr :8080] [-index bktree|multiindex|sharded]
+//	memeserve -load engine.snap -in ./corpus [-addr :8080]
 //	          [-workers N] [-max-batch 256] [-drain 10s]
 //	          [-ingest-threshold N] [-delta-dir ./deltas] [-compact-after N]
 //	          [-read-header-timeout 5s] [-read-timeout 60s] [-write-timeout 60s]
@@ -60,7 +60,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -74,7 +73,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	load := flag.String("load", "", "engine snapshot to serve (written by memepipeline -save); required")
 	in := flag.String("in", "corpus", "corpus directory providing the annotation site the snapshot was built against")
-	indexStrategy := flag.String("index", "", "medoid index strategy (empty = default): "+strategyList())
 	workers := flag.Int("workers", 0, "worker pool bound for query fan-out (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", server.DefaultMaxBatch, "max concurrent /v1/match lookups coalesced into one fan-out")
 	drain := flag.Duration("drain", 10*time.Second, "connection-draining timeout on SIGTERM")
@@ -131,18 +129,13 @@ func main() {
 		}
 	}
 
-	// LoadEngineFile mmaps flat (v2) snapshots and serves straight from the
-	// mapped bytes — the medoid index is loaded, not rebuilt, so reloads are
-	// page-cache-bound; v1 artifacts go through the streaming decoder.
-	// WithDataset binds the serving corpus to the engine so the analysis
+	// LoadEngineFile decodes the snapshot straight from its memory mapping
+	// and rebuilds the Step 6 medoid scan from the cluster table, so
+	// reloads are page-cache-bound. WithDataset binds the serving corpus to the engine so the analysis
 	// endpoints (/v1/influence, /v1/report) can materialise the full
 	// pipeline result; without it they would answer 503/analysis_disabled.
 	loader := func() (*memes.Engine, error) {
-		opts := []memes.Option{memes.WithWorkers(*workers), memes.WithDataset(ds)}
-		if *indexStrategy != "" {
-			opts = append(opts, memes.WithIndex(memes.IndexStrategy(*indexStrategy)))
-		}
-		return memes.LoadEngineFile(snapPath, site, opts...)
+		return memes.LoadEngineFile(snapPath, site, memes.WithWorkers(*workers), memes.WithDataset(ds))
 	}
 
 	cfg := server.Config{
@@ -266,14 +259,4 @@ func closeDecisionLog(l *declog.Logger, s *declog.FileSink) {
 			log.Printf("memeserve: closing decision log: %v", err)
 		}
 	}
-}
-
-// strategyList renders the registered index strategies for the -index flag
-// help text.
-func strategyList() string {
-	var names []string
-	for _, s := range memes.IndexStrategies() {
-		names = append(names, string(s))
-	}
-	return strings.Join(names, ", ")
 }

@@ -14,7 +14,7 @@ import (
 
 // Engine is the build-once / query-many form of the pipeline. NewEngine runs
 // the expensive offline phase (Steps 2-5: cluster the fringe communities,
-// materialise medoids, annotate them against the KYM site, and index the
+// materialise medoids, annotate them against the KYM site, and collect the
 // annotated medoids) exactly once; the Engine then keeps that output
 // resident and serves any number of cheap Step 6 queries against it:
 //
@@ -26,7 +26,7 @@ import (
 //     build dataset), so NewReport and EstimateInfluence keep working.
 //
 // All query methods are goroutine-safe: the underlying cluster list and
-// medoid index are immutable after NewEngine returns. Queries accept a
+// annotated medoids are immutable after NewEngine returns. Queries accept a
 // context.Context and stop promptly on cancellation.
 type Engine struct {
 	build  *pipeline.BuildResult
@@ -108,18 +108,6 @@ func WithAssociationThreshold(theta int) Option {
 	return func(o *engineConfig) { o.cfg.AssociationThreshold = theta }
 }
 
-// WithIndex selects the medoid-index strategy the engine's Step 6 serve
-// path queries: IndexBKTree (the default), IndexMultiIndex, or IndexSharded
-// — see IndexStrategies for the full registered set. Every strategy serves
-// bitwise-identical Associate/Match/Result output; the choice only shapes
-// the cost profile (single-tree pruning vs banded lookups vs parallel
-// sharded fan-out). Applies to both NewEngine and LoadEngine — snapshots
-// never persist the index itself, so a snapshot written under one strategy
-// loads under any other.
-func WithIndex(s IndexStrategy) Option {
-	return func(o *engineConfig) { o.cfg.Index = s }
-}
-
 // WithDataset binds a corpus to an engine loaded from a snapshot so
 // Engine.Result can materialise the legacy full-corpus result. It applies
 // to LoadEngine only; NewEngine already receives its dataset positionally
@@ -174,47 +162,18 @@ func NewEngine(ctx context.Context, ds *Dataset, site *AnnotationSite, opts ...O
 
 // Save writes a versioned binary snapshot of the engine's build phase
 // (Steps 2-5 output: config echo, per-community clusterings, cluster
-// metadata, medoid hashes) to w. LoadEngine reconstitutes a serving engine
-// from the snapshot without re-running the build — build once on a big box,
-// ship the snapshot, serve anywhere. The medoid index is rebuilt from the
-// persisted medoids on load, so snapshots are index-strategy-agnostic; the
-// dataset and the annotation site are likewise not persisted (the site is
-// re-bound at load, a dataset optionally so).
+// metadata, medoid hashes) to w in MEMESNAP v3, the one snapshot format.
+// LoadEngine reconstitutes a serving engine from the snapshot without
+// re-running the build — build once on a big box, ship the snapshot, serve
+// anywhere. The Step 6 medoid scan is rebuilt from the persisted cluster
+// table on load; the dataset and the annotation site are not persisted
+// either (the site is re-bound at load, a dataset optionally so).
 func (e *Engine) Save(w io.Writer) error { return e.build.Save(w) }
 
-// Snapshot format versions accepted by Engine.SaveVersion. Save always
-// writes SnapshotLatest; LoadEngine and LoadEngineFile read every version.
-const (
-	// SnapshotV1 is the original streaming varint format. The medoid index
-	// is rebuilt from the persisted medoids at load.
-	SnapshotV1 = pipeline.SnapshotV1
-	// SnapshotV2 is the flat offset-based format: fixed-width tables, one
-	// string arena, and the sealed medoid BK-tree serialized in array form,
-	// so LoadEngineFile can mmap the file and serve directly from the
-	// mapped bytes without rebuilding anything.
-	SnapshotV2 = pipeline.SnapshotV2
-	// SnapshotLatest is the version Engine.Save writes.
-	SnapshotLatest = pipeline.SnapshotLatest
-)
-
-// SaveVersion writes a snapshot in an explicit format version: SnapshotV1
-// for compatibility with readers predating the flat format, SnapshotV2 for
-// the mmap-ready layout Save defaults to. Both versions reconstitute
-// bitwise-identical engines.
-func (e *Engine) SaveVersion(w io.Writer, version uint32) error {
-	return e.build.SaveVersion(w, version)
-}
-
-// Close releases the snapshot memory mapping backing an engine returned by
-// LoadEngineFile, after which the engine must not serve further queries.
-// Closing is optional — an unclosed mapping is released by the garbage
-// collector once the engine is unreachable — and deliberately NOT wired
-// into the hot-swap path: an old generation may still be pinned by
-// in-flight requests when a new one activates, so HotEngine lets the
-// collector retire it. Close is for callers that churn through many loaded
-// engines and want the address space back deterministically. It is
-// idempotent, and a no-op for engines not backed by a mapping.
-func (e *Engine) Close() error { return e.build.Close() }
+// Close is a no-op kept for callers that retire engines explicitly: an
+// engine holds nothing outside the Go heap, because LoadEngineFile unmaps
+// the snapshot before returning.
+func (e *Engine) Close() error { return nil }
 
 // LoadEngine reads a snapshot written by Engine.Save and returns an Engine
 // serving queries against it, skipping the entire Steps 2-5 build. The
@@ -223,8 +182,8 @@ func (e *Engine) Close() error { return e.build.Close() }
 //
 // The build-phase configuration (clustering thresholds) is restored from
 // the snapshot and is an echo only — the clusters are already built.
-// Serving options do take effect: WithWorkers and WithIndex override the
-// snapshot's worker count and index strategy, WithDataset binds a corpus so
+// Serving options do take effect: WithWorkers overrides the snapshot's
+// worker count, WithDataset binds a corpus so
 // Engine.Result can materialise the legacy full-corpus result, and
 // WithProgress observes the single "load" stage event pair (the observable
 // proof that Steps 2-5 never ran).
@@ -255,13 +214,11 @@ func LoadEngine(r io.Reader, site *AnnotationSite, opts ...Option) (*Engine, err
 	return &Engine{build: b}, nil
 }
 
-// LoadEngineFile is LoadEngine for a snapshot on disk. For a SnapshotV2
-// file it memory-maps the flat layout (falling back to a single read where
-// mmap is unavailable) and serves directly from the mapped bytes — the
-// medoid index is loaded, not rebuilt, so time-to-first-query is dominated
-// by the page cache rather than by tree construction. Older snapshot
-// versions are read through the same path LoadEngine uses. All LoadEngine
-// options apply, including WithDataset and WithDeltas.
+// LoadEngineFile is LoadEngine for a snapshot on disk. It memory-maps the
+// file (falling back to a single read where mmap is unavailable), decodes
+// the flat layout straight from the mapped pages, and unmaps it before
+// returning. All LoadEngine options apply, including WithDataset and
+// WithDeltas.
 func LoadEngineFile(path string, site *AnnotationSite, opts ...Option) (*Engine, error) {
 	ec := engineConfig{cfg: DefaultPipelineConfig()}
 	for _, opt := range opts {
@@ -337,8 +294,7 @@ func (e *Engine) AssociateAppend(ctx context.Context, posts []Post, out []Associ
 
 // Match looks a single perceptual hash up against the annotated clusters.
 // The boolean is false when no annotated medoid lies within the association
-// threshold. Goroutine-safe; index strategies with internal query fan-out
-// honour cancellation mid-query.
+// threshold. Goroutine-safe; ctx is checked once on entry.
 func (e *Engine) Match(ctx context.Context, h Hash) (Match, bool, error) {
 	return e.build.MatchCtx(ctx, h)
 }
@@ -370,8 +326,8 @@ func (e *Engine) BuildStats() RunStats { return e.build.Stats() }
 // Result materialises the legacy one-shot *Result by associating every post
 // of the build dataset (Step 6) and merging the build stats. The result is
 // computed once and cached; subsequent calls return the same pointer.
-// Goroutine-safe. Clusters, associations, and summaries are identical to
-// what Run produces for the same dataset and configuration. An engine
+// Goroutine-safe. Clusters, associations, and summaries are identical for
+// any worker count and across a snapshot round trip. An engine
 // loaded from a snapshot must have a corpus bound (LoadEngine with
 // WithDataset) or Result panics; Associate and Match never need one.
 func (e *Engine) Result() *Result {
@@ -403,12 +359,12 @@ func (e *Engine) ResultFor(ctx context.Context, posts []Post) (*Result, error) {
 }
 
 // SnapshotVersion reports the MEMESNAP format version the engine was loaded
-// from (1 or 2), or 0 for an engine built in memory by NewEngine. Exposed
+// from (always 3), or 0 for an engine built in memory by NewEngine. Exposed
 // as the memes_snapshot_version gauge on /v1/metrics.
 func (e *Engine) SnapshotVersion() uint32 { return e.build.SnapshotVersion() }
 
 // result materialises and caches the legacy Result, keeping the error for
-// callers (Run) that can propagate it.
+// callers (TryResult) that can propagate it.
 func (e *Engine) result() (*Result, error) {
 	e.once.Do(func() {
 		e.res, e.resErr = e.build.Result(context.Background())

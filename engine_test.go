@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/memes-pipeline/memes/internal/pipeline"
 )
 
 // engineTestCorpus builds the small corpus and its filtered site once per
@@ -26,16 +28,56 @@ func engineTestCorpus(t *testing.T) (*Dataset, *AnnotationSite) {
 	return ds, site
 }
 
+// pipelineRun is the one-shot pipeline run the engine wraps, driven through
+// the internal pipeline directly: Build (Steps 2-5) then Result (Step 6).
+func pipelineRun(t *testing.T, ds *Dataset, site *AnnotationSite) *Result {
+	t.Helper()
+	ctx := context.Background()
+	b, err := pipeline.Build(ctx, ds, site, DefaultPipelineConfig(), nil)
+	if err != nil {
+		t.Fatalf("pipeline.Build: %v", err)
+	}
+	res, err := b.Result(ctx)
+	if err != nil {
+		t.Fatalf("pipeline Result: %v", err)
+	}
+	return res
+}
+
+// linearScanOracle is Step 6 from first principles: every image post is
+// compared with the medoid of every annotated cluster, and the closest one
+// within the association threshold wins, ties going to the lowest cluster
+// ID.
+func linearScanOracle(clusters []ClusterInfo, posts []Post, theta int) []Association {
+	var out []Association
+	for i := range posts {
+		if !posts[i].HasImage {
+			continue
+		}
+		best := Association{ClusterID: -1}
+		for _, c := range clusters {
+			d := HashDistance(posts[i].PHash(), c.MedoidHash)
+			if !c.Annotated() || d > theta {
+				continue
+			}
+			if best.ClusterID < 0 || d < best.Distance || (d == best.Distance && c.ID < best.ClusterID) {
+				best = Association{PostIndex: i, ClusterID: c.ID, Distance: d}
+			}
+		}
+		if best.ClusterID >= 0 {
+			out = append(out, best)
+		}
+	}
+	return out
+}
+
 // TestEngineResultMatchesRun asserts the acceptance criterion of the
-// build/serve split: Engine.Result() is identical to the legacy one-shot Run
-// for the same dataset and configuration, in every field except Stats (which
-// is documented as the only field that varies between runs).
+// build/serve split: Engine.Result() is identical to the one-shot pipeline
+// run for the same dataset and configuration, in every field except Stats
+// (which is documented as the only field that varies between runs).
 func TestEngineResultMatchesRun(t *testing.T) {
 	ds, site := engineTestCorpus(t)
-	legacy, err := Run(ds, site, DefaultPipelineConfig())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	legacy := pipelineRun(t, ds, site)
 	eng, err := NewEngine(context.Background(), ds, site)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -66,8 +108,8 @@ func TestEngineResultMatchesRun(t *testing.T) {
 }
 
 // TestEngineAssociateHeldOutBatch associates a batch that is a strict subset
-// of the dataset and checks it returns exactly the associations Run produced
-// for those posts (with PostIndex remapped to the batch).
+// of the dataset and checks it returns exactly the associations the full run
+// produced for those posts (with PostIndex remapped to the batch).
 func TestEngineAssociateHeldOutBatch(t *testing.T) {
 	ds, site := engineTestCorpus(t)
 	eng, err := NewEngine(context.Background(), ds, site)
@@ -155,10 +197,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential Associate: %v", err)
 	}
-	legacy, err := Run(ds, site, DefaultPipelineConfig())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	legacy := pipelineRun(t, ds, site)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -376,77 +415,61 @@ func TestEngineProgressDerivesStats(t *testing.T) {
 	}
 }
 
-// TestEngineIndexStrategiesIdentical is the tentpole acceptance criterion:
-// every registered index strategy, at several worker counts, serves
-// bitwise-identical Associate/Match/Result output.
-func TestEngineIndexStrategiesIdentical(t *testing.T) {
+// TestEngineMatchesLinearScanOracle pins the Step 6 medoid scan to the
+// linear-scan oracle at one worker, at GOMAXPROCS and at an explicit
+// fan-out: Associate, AssociateAppend, Match and Result all serve exactly
+// the oracle's associations, before and after a snapshot round trip.
+func TestEngineMatchesLinearScanOracle(t *testing.T) {
 	ds, site := engineTestCorpus(t)
 	ctx := context.Background()
+	theta := DefaultPipelineConfig().AssociationThreshold
 
-	if len(IndexStrategies()) < 3 {
-		t.Fatalf("expected >= 3 registered index strategies, got %v", IndexStrategies())
-	}
-
-	type outputs struct {
-		assoc   []Association
-		matches []Match
-		res     *Result
-	}
-	capture := func(eng *Engine) outputs {
-		t.Helper()
-		assoc, err := eng.Associate(ctx, ds.Posts)
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		built, err := NewEngine(ctx, ds, site, WithWorkers(workers))
 		if err != nil {
-			t.Fatalf("Associate: %v", err)
+			t.Fatalf("NewEngine(w=%d): %v", workers, err)
 		}
-		var ms []Match
-		for _, c := range eng.Clusters() {
-			m, ok, err := eng.Match(ctx, c.MedoidHash)
+		var snap bytes.Buffer
+		if err := built.Save(&snap); err != nil {
+			t.Fatalf("Save(w=%d): %v", workers, err)
+		}
+		loaded, err := LoadEngine(&snap, site, WithDataset(ds))
+		if err != nil {
+			t.Fatalf("LoadEngine(w=%d): %v", workers, err)
+		}
+		want := linearScanOracle(built.Clusters(), ds.Posts, theta)
+		if len(want) == 0 {
+			t.Fatal("oracle found no associations; corpus too small")
+		}
+		for _, tc := range []struct {
+			name string
+			eng  *Engine
+		}{{"built", built}, {"loaded", loaded}} {
+			name, eng := tc.name, tc.eng
+			assoc, err := eng.Associate(ctx, ds.Posts)
 			if err != nil {
-				t.Fatalf("Match: %v", err)
+				t.Fatalf("%s/w%d: Associate: %v", name, workers, err)
 			}
-			if ok {
-				ms = append(ms, m)
+			if !reflect.DeepEqual(assoc, want) {
+				t.Errorf("%s/w%d: Associate diverges from the linear-scan oracle", name, workers)
 			}
-		}
-		return outputs{assoc: assoc, matches: ms, res: eng.Result()}
-	}
-
-	base, err := NewEngine(ctx, ds, site) // default strategy, default workers
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	want := capture(base)
-	if len(want.assoc) == 0 || len(want.matches) == 0 {
-		t.Fatal("baseline engine produced no output; corpus too small")
-	}
-
-	for _, strategy := range IndexStrategies() {
-		for _, workers := range []int{1, 4} {
-			eng, err := NewEngine(ctx, ds, site, WithIndex(strategy), WithWorkers(workers))
+			appended, err := eng.AssociateAppend(ctx, ds.Posts, nil)
 			if err != nil {
-				t.Fatalf("NewEngine(%s, w=%d): %v", strategy, workers, err)
+				t.Fatalf("%s/w%d: AssociateAppend: %v", name, workers, err)
 			}
-			got := capture(eng)
-			if !reflect.DeepEqual(got.assoc, want.assoc) {
-				t.Errorf("%s/w%d: Associate diverges from default engine", strategy, workers)
+			if !reflect.DeepEqual(appended, want) {
+				t.Errorf("%s/w%d: AssociateAppend diverges from the linear-scan oracle", name, workers)
 			}
-			if !reflect.DeepEqual(got.matches, want.matches) {
-				t.Errorf("%s/w%d: Match diverges from default engine", strategy, workers)
+			if res := eng.Result(); !reflect.DeepEqual(res.Associations, want) {
+				t.Errorf("%s/w%d: Result diverges from the linear-scan oracle", name, workers)
 			}
-			if !reflect.DeepEqual(got.res.Associations, want.res.Associations) ||
-				!reflect.DeepEqual(got.res.Clusters, want.res.Clusters) ||
-				!reflect.DeepEqual(got.res.PerCommunity, want.res.PerCommunity) {
-				t.Errorf("%s/w%d: Result diverges from default engine", strategy, workers)
-			}
-			if got.res.Config.Index != strategy {
-				t.Errorf("%s/w%d: config echo carries %q", strategy, workers, got.res.Config.Index)
+			for _, a := range want {
+				m, ok, err := eng.Match(ctx, ds.Posts[a.PostIndex].PHash())
+				if err != nil || !ok || m.ClusterID != a.ClusterID || m.Distance != a.Distance {
+					t.Fatalf("%s/w%d: Match(post %d) = (%+v, %v, %v), oracle %+v", name, workers, a.PostIndex, m, ok, err, a)
+				}
 			}
 		}
-	}
-
-	// Unknown strategies are rejected at build time.
-	if _, err := NewEngine(ctx, ds, site, WithIndex("bogus")); err == nil {
-		t.Fatal("bogus index strategy accepted")
 	}
 }
 
@@ -520,19 +543,17 @@ func TestEngineSaveLoad(t *testing.T) {
 		t.Fatal("loaded engine's Result diverges from the original")
 	}
 
-	// Load-time strategy override: same results under every strategy.
-	for _, strategy := range IndexStrategies() {
-		alt, err := LoadEngine(bytes.NewReader(snap), site, WithIndex(strategy))
-		if err != nil {
-			t.Fatalf("LoadEngine(%s): %v", strategy, err)
-		}
-		altAssoc, err := alt.Associate(ctx, ds.Posts)
-		if err != nil {
-			t.Fatalf("Associate(%s): %v", strategy, err)
-		}
-		if !reflect.DeepEqual(altAssoc, wantAssoc) {
-			t.Fatalf("strategy %s serves different associations from a snapshot", strategy)
-		}
+	// Load-time worker override: same results at any fan-out.
+	alt, err := LoadEngine(bytes.NewReader(snap), site, WithWorkers(3))
+	if err != nil {
+		t.Fatalf("LoadEngine(WithWorkers(3)): %v", err)
+	}
+	altAssoc, err := alt.Associate(ctx, ds.Posts)
+	if err != nil {
+		t.Fatalf("Associate(w=3): %v", err)
+	}
+	if !reflect.DeepEqual(altAssoc, wantAssoc) {
+		t.Fatal("a 3-worker load serves different associations from a snapshot")
 	}
 
 	// A dataset-less load serves queries but cannot materialise Result.

@@ -1,8 +1,8 @@
 // Snapshotserve: the build-once / serve-forever workflow. The expensive
 // Steps 2-5 build runs once and is saved as a versioned binary snapshot; a
 // second "serving process" (here, the same program a moment later) loads
-// the snapshot — skipping Steps 2-5 entirely — picks an index strategy for
-// its hardware, and answers queries identical to the original engine's.
+// the snapshot — skipping Steps 2-5 entirely — and answers queries
+// identical to the original engine's.
 package main
 
 import (
@@ -35,8 +35,8 @@ func main() {
 	fmt.Printf("built engine: %d clusters from %d posts\n", len(eng.Clusters()), len(ds.Posts))
 
 	// 2. Ship the snapshot. Only the Steps 2-5 artifact is persisted — the
-	//    medoid index is rebuilt on load, so the file is small and
-	//    strategy-agnostic.
+	//    Step 6 medoid scan is rebuilt from the cluster table on load, so
+	//    the file is small.
 	path := filepath.Join(os.TempDir(), "memes-engine.snap")
 	f, err := os.Create(path)
 	if err != nil {
@@ -53,15 +53,13 @@ func main() {
 
 	// 3. The serving box: load the snapshot with the annotation site. No
 	//    clustering or annotation runs — the progress stream shows a single
-	//    "load" stage. Each serving process may pick its own index strategy;
-	//    results are identical under all of them.
+	//    "load" stage.
 	r, err := os.Open(path)
 	if err != nil {
 		log.Fatalf("opening snapshot: %v", err)
 	}
 	defer r.Close()
 	served, err := memes.LoadEngine(r, site,
-		memes.WithIndex(memes.IndexSharded),
 		memes.WithProgress(func(ev memes.StageEvent) {
 			if ev.Done {
 				fmt.Printf("load stage %q: %d clusters in %v\n", ev.Stage, ev.Items, ev.Duration)

@@ -16,7 +16,7 @@ func TestHotEngineSwap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	b, err := NewEngine(ctx, ds, site, WithIndex(IndexSharded))
+	b, err := NewEngine(ctx, ds, site, WithWorkers(1))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestHotEngineConcurrentSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	b, err := NewEngine(ctx, ds, site, WithIndex(IndexMultiIndex))
+	b, err := NewEngine(ctx, ds, site, WithWorkers(2))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}

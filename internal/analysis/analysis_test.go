@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -28,9 +29,13 @@ func getRun(t *testing.T) *pipeline.Result {
 	if err != nil {
 		t.Fatalf("Site: %v", err)
 	}
-	res, err := pipeline.Run(ds, site, pipeline.DefaultConfig())
+	b, err := pipeline.Build(context.Background(), ds, site, pipeline.DefaultConfig(), nil)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Build: %v", err)
+	}
+	res, err := b.Result(context.Background())
+	if err != nil {
+		t.Fatalf("Result: %v", err)
 	}
 	sharedRun = res
 	return res

@@ -8,8 +8,8 @@ import (
 )
 
 // AnnotateBatch annotates many cluster medoids concurrently (Step 5 as a
-// batch). The site's BK-tree index is read-only after construction, so the
-// radius queries fan out across a worker pool (workers <= 0 means
+// batch). The site's gallery hashes are read-only after construction, so the
+// per-medoid scans fan out across a worker pool (workers <= 0 means
 // GOMAXPROCS); results are returned in medoid order and are identical to
 // calling Annotate sequentially.
 func (s *Site) AnnotateBatch(medoids []phash.Hash, threshold, workers int) []Annotation {

@@ -112,13 +112,12 @@ func (e *Entry) hasAnyTag(tags []string) bool {
 }
 
 // Site is an in-memory annotation site: a collection of entries indexed by
-// name and by gallery hash for fast medoid matching.
+// name, plus one flat copy of every gallery hash for medoid matching.
 type Site struct {
 	entries []*Entry
 	byName  map[string]*Entry
-	index   *phash.BKTree
-	// hashOwners maps an index into the flat gallery hash list to the entry
-	// that owns it; the BK-tree stores those indexes as item IDs.
+	// hashValues holds every gallery hash in entry order, and hashOwners[i]
+	// the entry that owns hashValues[i]; each entry's hashes are contiguous.
 	hashOwners []*Entry
 	hashValues []phash.Hash
 }
@@ -127,7 +126,6 @@ type Site struct {
 func NewSite(entries []*Entry) (*Site, error) {
 	s := &Site{
 		byName: make(map[string]*Entry, len(entries)),
-		index:  phash.NewBKTree(),
 	}
 	for _, e := range entries {
 		if err := e.Validate(); err != nil {
@@ -139,10 +137,8 @@ func NewSite(entries []*Entry) (*Site, error) {
 		s.byName[e.Name] = e
 		s.entries = append(s.entries, e)
 		for _, h := range e.Gallery {
-			id := int64(len(s.hashOwners))
 			s.hashOwners = append(s.hashOwners, e)
 			s.hashValues = append(s.hashValues, h)
-			s.index.Insert(h, id)
 		}
 	}
 	return s, nil
@@ -157,7 +153,7 @@ func (s *Site) Entry(name string) *Entry { return s.byName[name] }
 // NumEntries returns the number of entries on the site.
 func (s *Site) NumEntries() int { return len(s.entries) }
 
-// NumGalleryImages returns the total number of gallery hashes indexed.
+// NumGalleryImages returns the total number of gallery hashes the site matches against.
 func (s *Site) NumGalleryImages() int { return len(s.hashValues) }
 
 // CategoryCounts returns the number of entries per category.
@@ -247,41 +243,36 @@ const DefaultThreshold = 8
 
 // Annotate matches the cluster medoid against every gallery image on the
 // site and returns the annotation. threshold is the maximum Hamming distance
-// for a gallery image to count as a match (the paper's θ=8).
+// for a gallery image to count as a match (the paper's θ=8). The match is a
+// linear Hamming scan over the flat gallery hashes — the paper's brute-force
+// pairwise comparison, one medoid at a time.
 func (s *Site) Annotate(medoid phash.Hash, threshold int) Annotation {
 	if threshold < 0 {
 		threshold = DefaultThreshold
 	}
-	matches := s.index.Radius(medoid, threshold)
-	type agg struct {
-		count int
-		sum   int
-	}
-	perEntry := make(map[*Entry]*agg)
-	for _, m := range matches {
-		for _, id := range m.IDs {
-			e := s.hashOwners[id]
-			a := perEntry[e]
-			if a == nil {
-				a = &agg{}
-				perEntry[e] = a
-			}
-			a.count++
-			a.sum += m.Distance
-		}
-	}
 	var out Annotation
-	for e, a := range perEntry {
-		frac := 0.0
-		if len(e.Gallery) > 0 {
-			frac = float64(a.count) / float64(len(e.Gallery))
+	for i, h := range s.hashValues {
+		d := phash.Distance(medoid, h)
+		if d > threshold {
+			continue
 		}
-		out.Matches = append(out.Matches, EntryMatch{
-			Entry:         e,
-			Matches:       a.count,
-			MatchFraction: frac,
-			MeanDistance:  float64(a.sum) / float64(a.count),
-		})
+		// An entry's gallery hashes are contiguous, so its matches
+		// accumulate in the last row; MeanDistance holds the distance sum
+		// until the pass below divides it.
+		e := s.hashOwners[i]
+		if n := len(out.Matches); n == 0 || out.Matches[n-1].Entry != e {
+			out.Matches = append(out.Matches, EntryMatch{Entry: e})
+		}
+		m := &out.Matches[len(out.Matches)-1]
+		m.Matches++
+		m.MeanDistance += float64(d)
+	}
+	for i := range out.Matches {
+		m := &out.Matches[i]
+		if n := len(m.Entry.Gallery); n > 0 {
+			m.MatchFraction = float64(m.Matches) / float64(n)
+		}
+		m.MeanDistance /= float64(m.Matches)
 	}
 	sort.Slice(out.Matches, func(i, j int) bool {
 		a, b := out.Matches[i], out.Matches[j]

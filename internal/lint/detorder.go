@@ -9,7 +9,7 @@ import (
 // DetOrder flags constructs whose result depends on map iteration order or
 // on ambient nondeterminism (wall clock, math/rand) inside the deterministic
 // build/query packages. Those packages promise bitwise-identical output for
-// any worker count and index strategy, so the only tolerated map ranges are
+// any worker count, so the only tolerated map ranges are
 // the two shapes that are order-independent by construction:
 //
 //   - collect-and-sort: the loop body only accumulates into slices that are

@@ -227,7 +227,6 @@ func pathMatches(path, suffix string) bool {
 var deterministicScopes = []string{
 	"internal/pipeline",
 	"internal/cluster",
-	"internal/index",
 	"internal/ingest",
 	"internal/faults",
 	"internal/phash",

@@ -2,10 +2,9 @@ package phash
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
-	"sync"
 	"testing"
-	"testing/quick"
 )
 
 // randomHashes generates n random hashes with a deterministic seed.
@@ -36,125 +35,6 @@ func bruteRadius(hashes []Hash, ids []int64, q Hash, radius int) map[Hash][]int6
 		}
 	}
 	return out
-}
-
-func TestBKTreeEmpty(t *testing.T) {
-	tr := NewBKTree()
-	if tr.Len() != 0 || tr.Keys() != 0 {
-		t.Fatal("empty tree should have zero size")
-	}
-	if got := tr.Radius(Hash(1), 5); got != nil {
-		t.Fatalf("empty tree radius should be nil, got %v", got)
-	}
-	if _, ok := tr.Nearest(Hash(1)); ok {
-		t.Fatal("empty tree should have no nearest")
-	}
-}
-
-func TestBKTreeInsertDuplicates(t *testing.T) {
-	tr := NewBKTree()
-	tr.Insert(Hash(42), 1)
-	tr.Insert(Hash(42), 2)
-	tr.Insert(Hash(42), 3)
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tr.Len())
-	}
-	if tr.Keys() != 1 {
-		t.Fatalf("Keys = %d, want 1", tr.Keys())
-	}
-	got := tr.Radius(Hash(42), 0)
-	if len(got) != 1 || len(got[0].IDs) != 3 {
-		t.Fatalf("expected one match with 3 ids, got %+v", got)
-	}
-}
-
-func TestBKTreeRadiusMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	hashes := randomHashes(5, 500)
-	ids := make([]int64, len(hashes))
-	tr := NewBKTree()
-	for i, h := range hashes {
-		ids[i] = int64(i)
-		tr.Insert(h, int64(i))
-	}
-	for trial := 0; trial < 30; trial++ {
-		q := hashes[rng.Intn(len(hashes))]
-		if trial%3 == 0 {
-			q = perturb(rng, q, rng.Intn(10))
-		}
-		radius := rng.Intn(16)
-		want := bruteRadius(hashes, ids, q, radius)
-		got := tr.Radius(q, radius)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d matches, want %d", trial, len(got), len(want))
-		}
-		for _, m := range got {
-			wantIDs, ok := want[m.Hash]
-			if !ok {
-				t.Fatalf("unexpected match %v", m.Hash)
-			}
-			if len(m.IDs) != len(wantIDs) {
-				t.Fatalf("ID count mismatch for %v", m.Hash)
-			}
-			if m.Distance != Distance(q, m.Hash) {
-				t.Fatalf("distance mismatch for %v", m.Hash)
-			}
-		}
-	}
-}
-
-func TestBKTreeNearest(t *testing.T) {
-	tr := NewBKTree()
-	rng := rand.New(rand.NewSource(7))
-	hashes := randomHashes(17, 200)
-	for i, h := range hashes {
-		tr.Insert(h, int64(i))
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := perturb(rng, hashes[rng.Intn(len(hashes))], rng.Intn(6))
-		got, ok := tr.Nearest(q)
-		if !ok {
-			t.Fatal("Nearest returned not found")
-		}
-		best := MaxDistance + 1
-		for _, h := range hashes {
-			if d := Distance(h, q); d < best {
-				best = d
-			}
-		}
-		if got.Distance != best {
-			t.Fatalf("Nearest distance %d, want %d", got.Distance, best)
-		}
-	}
-}
-
-func TestBKTreeWalk(t *testing.T) {
-	tr := NewBKTree()
-	hashes := randomHashes(31, 100)
-	for i, h := range hashes {
-		tr.Insert(h, int64(i))
-	}
-	seen := make(map[Hash]bool)
-	tr.Walk(func(h Hash, ids []int64) bool {
-		seen[h] = true
-		return true
-	})
-	distinct := make(map[Hash]bool)
-	for _, h := range hashes {
-		distinct[h] = true
-	}
-	if len(seen) != len(distinct) {
-		t.Fatalf("walk visited %d hashes, want %d", len(seen), len(distinct))
-	}
-	// Early stop.
-	count := 0
-	tr.Walk(func(h Hash, ids []int64) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Fatalf("walk early stop visited %d, want 5", count)
-	}
 }
 
 func TestMultiIndexRadiusMatchesBruteForce(t *testing.T) {
@@ -225,78 +105,54 @@ func TestMultiIndexResultsSorted(t *testing.T) {
 	}
 }
 
-func TestPairwiseWithinMatchesBrute(t *testing.T) {
-	hashes := randomHashes(8, 120)
-	rng := rand.New(rand.NewSource(9))
-	base := hashes[0]
-	for i := 0; i < 30; i++ {
-		hashes = append(hashes, perturb(rng, base, rng.Intn(8)))
-	}
-	const radius = 8
-	type pair struct{ i, j int }
-	want := make(map[pair]int)
-	for i := 0; i < len(hashes); i++ {
-		for j := i + 1; j < len(hashes); j++ {
-			if d := Distance(hashes[i], hashes[j]); d <= radius {
-				want[pair{i, j}] = d
-			}
+// FuzzRadiusEquivalence drives MultiIndex.Radius against the linear scan
+// from the fuzzer: for any (seed, query, radius) triple over a corpus shaped
+// like the pipeline's hashes — random hashes, tight near-duplicate families
+// and exact duplicates carrying several IDs — the banded probe (or its
+// large-radius fallback) must return exactly the linear scan's match set,
+// one entry per distinct hash at its true distance.
+func FuzzRadiusEquivalence(f *testing.F) {
+	f.Add(int64(1), uint64(0x55352b0b8d8b5b53), 8)
+	f.Add(int64(2), uint64(0), 0)
+	f.Add(int64(3), uint64(0xffffffffffffffff), 64)
+	f.Fuzz(func(t *testing.T, seed int64, query uint64, radius int) {
+		if radius < -1 || radius > 64 {
+			radius %= 65
 		}
-	}
-	got := make(map[pair]int)
-	var mu sync.Mutex
-	PairwiseWithin(hashes, radius, func(i, j, d int) {
-		mu.Lock()
-		got[pair{i, j}] = d
-		mu.Unlock()
-	})
-	if len(got) != len(want) {
-		t.Fatalf("got %d pairs, want %d", len(got), len(want))
-	}
-	for p, d := range want {
-		if got[p] != d {
-			t.Fatalf("pair %v: got distance %d, want %d", p, got[p], d)
-		}
-	}
-}
-
-func TestPairwiseWithinSmallInputs(t *testing.T) {
-	called := false
-	PairwiseWithin(nil, 8, func(i, j, d int) { called = true })
-	PairwiseWithin([]Hash{1}, 8, func(i, j, d int) { called = true })
-	if called {
-		t.Fatal("callback should not fire for fewer than two hashes")
-	}
-}
-
-func TestBKTreeAndMultiIndexAgree(t *testing.T) {
-	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 50 + rng.Intn(100)
-		hashes := make([]Hash, n)
-		tr := NewBKTree()
-		mi := NewMultiIndex()
-		for i := range hashes {
-			hashes[i] = Hash(rng.Uint64())
-			tr.Insert(hashes[i], int64(i))
-			mi.Insert(hashes[i], int64(i))
-		}
-		q := perturb(rng, hashes[rng.Intn(n)], rng.Intn(5))
-		radius := rng.Intn(12)
-		a := tr.Radius(q, radius)
-		b := mi.Radius(q, radius)
-		if len(a) != len(b) {
-			return false
-		}
-		total := func(ms []Match) int {
-			n := 0
-			for _, m := range ms {
-				n += len(m.IDs)
+		hashes := randomHashes(seed, 40+int(uint64(seed)%64))
+		for fam := 0; fam < 3; fam++ {
+			base := hashes[rng.Intn(len(hashes))]
+			for i := 0; i < 10; i++ {
+				hashes = append(hashes, perturb(rng, base, rng.Intn(6)))
 			}
-			return n
 		}
-		return total(a) == total(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
+		for i := 0; i < 5; i++ {
+			hashes = append(hashes, hashes[rng.Intn(len(hashes))])
+		}
+		ids := make([]int64, len(hashes))
+		mi := NewMultiIndex()
+		for i, h := range hashes {
+			ids[i] = int64(i)
+			mi.Insert(h, ids[i])
+		}
+		q := Hash(query)
+		got := make(map[Hash][]int64)
+		for _, m := range mi.Radius(q, radius) {
+			if d := Distance(q, m.Hash); m.Distance != d || d > radius {
+				t.Fatalf("match %v carries distance %d, true distance %d, radius %d", m.Hash, m.Distance, d, radius)
+			}
+			if _, dup := got[m.Hash]; dup {
+				t.Fatalf("hash %v returned twice", m.Hash)
+			}
+			got[m.Hash] = m.IDs
+		}
+		want := bruteRadius(hashes, ids, q, radius)
+		if radius < 0 {
+			want = map[Hash][]int64{}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Radius(%x, %d) diverges from linear scan: got %d hashes, want %d", query, radius, len(got), len(want))
+		}
+	})
 }

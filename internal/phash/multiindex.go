@@ -1,24 +1,20 @@
 package phash
 
-import (
-	"context"
-	"sort"
-
-	"github.com/memes-pipeline/memes/internal/parallel"
-)
+import "sort"
 
 // MultiIndex implements multi-index hashing (MIH) over 64-bit perceptual
-// hashes. The hash is split into nbBands disjoint bands; by the pigeonhole
-// principle, two hashes within Hamming distance r must agree on at least one
-// band whenever r < nbBands * (bandBits - adjustment), so candidate lookups
-// only need exact band matches followed by full-distance verification.
+// hashes; it is the probing regime of Neighbourhoods on large corpora. The
+// hash is split into nbBands disjoint bands; by the pigeonhole principle,
+// two hashes within Hamming distance r must agree on at least one band
+// whenever r < nbBands * (bandBits - adjustment), so candidate lookups only
+// need exact band matches followed by full-distance verification.
 //
 // With the default 4 bands of 16 bits each, any query radius r <= 3 is
 // guaranteed exact from direct band lookups alone (some band matches
 // exactly); radii 4-7 additionally probe band values at Hamming distance 1,
 // and radii 8-11 — covering the pipeline's operating threshold of 8 — probe
 // distance 2 as well, keeping every banded query exact. Larger radii fall
-// back to a parallel linear scan, so results are exact at every radius.
+// back to a linear scan, so results are exact at every radius.
 //
 // MultiIndex is not safe for concurrent mutation; concurrent queries after
 // construction are safe.
@@ -28,7 +24,14 @@ type MultiIndex struct {
 	tables   []map[uint64][]int32 // per-band: band value -> indexes into items
 	hashes   []Hash
 	ids      []int64
-	workers  int // linear-scan fan-out bound; 0 = GOMAXPROCS (see SetWorkers)
+}
+
+// Match is a single radius-query result: a stored hash, its distance from the
+// query, and the item IDs that share that hash.
+type Match struct {
+	Hash     Hash
+	Distance int
+	IDs      []int64
 }
 
 // mihBands is the number of disjoint bands the default multi-index splits
@@ -68,38 +71,16 @@ func (m *MultiIndex) band(h Hash, b int) uint64 {
 	return (uint64(h) >> shift) & mask
 }
 
-// SetWorkers bounds the fan-out of the parallel linear-scan fallback;
-// n <= 0 restores the default (GOMAXPROCS). It satisfies the optional
-// index.WorkerBound interface so the pipeline's single workers knob
-// governs this index too.
-func (m *MultiIndex) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.workers = n
-}
-
-// Radius returns all stored entries within Hamming distance radius of q.
-// It is RadiusCtx without cancellation.
+// Radius returns all stored entries within Hamming distance radius of q,
+// one Match per distinct hash, sorted by distance then hash. The search is
+// exact at every radius: banded probing handles radius <= 3*bands - 1
+// (i.e. 11 with the default 4 bands, comfortably covering the pipeline's
+// operating threshold of 8), and a linear scan handles anything larger.
 func (m *MultiIndex) Radius(q Hash, radius int) []Match {
-	out, _ := m.RadiusCtx(context.Background(), q, radius)
-	return out
-}
-
-// RadiusCtx returns all stored entries within Hamming distance radius of q,
-// honouring ctx cancellation on the parallel linear-scan fallback. The
-// search is exact at every radius: banded probing handles radius <=
-// 3*bands - 1 (i.e. 11 with the default 4 bands, comfortably covering the
-// pipeline's operating threshold of 8), and a parallel linear scan handles
-// anything larger. On cancellation the partial result is discarded and
-// ctx.Err() is returned.
-func (m *MultiIndex) RadiusCtx(ctx context.Context, q Hash, radius int) ([]Match, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if radius < 0 || len(m.hashes) == 0 {
-		return nil, nil
+		return nil
 	}
+	var out []Match
 	// Pigeonhole: if radius errors are spread across bands, at least one
 	// band has at most maxFlips = floor(radius/bands) errors, so probing
 	// every band value within maxFlips bit flips of the query's band finds
@@ -107,10 +88,14 @@ func (m *MultiIndex) RadiusCtx(ctx context.Context, q Hash, radius int) ([]Match
 	// beyond two flips per band (radius >= 3*bands) the linear scan wins.
 	maxFlips := radius / m.bands
 	if maxFlips > 2 {
-		return m.linearRadius(ctx, q, radius)
+		for i, h := range m.hashes {
+			if d := Distance(q, h); d <= radius {
+				out = append(out, Match{Hash: h, Distance: d, IDs: []int64{m.ids[i]}})
+			}
+		}
+		return mergeMatches(out)
 	}
 	seen := make(map[int32]struct{})
-	var out []Match
 	probe := func(b int, key uint64) {
 		for _, idx := range m.tables[b][key] {
 			if _, dup := seen[idx]; dup {
@@ -140,74 +125,7 @@ func (m *MultiIndex) RadiusCtx(ctx context.Context, q Hash, radius int) ([]Match
 			}
 		}
 	}
-	return mergeMatches(out), nil
-}
-
-// Nearest returns the stored hash closest to q and its distance, with the
-// IDs of every entry sharing that hash. The boolean is false when the index
-// is empty. Ties between distinct hashes at the same distance are broken by
-// the lowest hash value, so the result is deterministic.
-func (m *MultiIndex) Nearest(q Hash) (Match, bool) {
-	if len(m.hashes) == 0 {
-		return Match{}, false
-	}
-	bestDist := MaxDistance + 1
-	var bestHash Hash
-	for _, h := range m.hashes {
-		d := Distance(q, h)
-		if d < bestDist || (d == bestDist && h < bestHash) {
-			bestDist, bestHash = d, h
-		}
-	}
-	var ids []int64
-	for i, h := range m.hashes {
-		if h == bestHash {
-			ids = append(ids, m.ids[i])
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return Match{Hash: bestHash, Distance: bestDist, IDs: ids}, true
-}
-
-// Walk visits every distinct hash stored in the index, with the IDs of all
-// entries sharing it, in unspecified order. Returning false from fn stops
-// the walk early.
-func (m *MultiIndex) Walk(fn func(h Hash, ids []int64) bool) {
-	byHash := make(map[Hash][]int64, len(m.hashes))
-	order := make([]Hash, 0, len(m.hashes))
-	for i, h := range m.hashes {
-		if _, seen := byHash[h]; !seen {
-			order = append(order, h)
-		}
-		byHash[h] = append(byHash[h], m.ids[i])
-	}
-	for _, h := range order {
-		if !fn(h, byHash[h]) {
-			return
-		}
-	}
-}
-
-// linearRadius performs an exact parallel scan; used for large radii where
-// banded probing is no longer guaranteed exact. The fan-out runs on the
-// internal/parallel primitives so cancellation never leaks a goroutine.
-func (m *MultiIndex) linearRadius(ctx context.Context, q Hash, radius int) ([]Match, error) {
-	matches, err := parallel.MapChunksCtx(ctx, len(m.hashes), m.workers, func(lo, hi int) []Match {
-		var part []Match
-		for i := lo; i < hi; i++ {
-			d := Distance(q, m.hashes[i])
-			if d <= radius {
-				part = append(part, Match{
-					Hash: m.hashes[i], Distance: d, IDs: []int64{m.ids[i]},
-				})
-			}
-		}
-		return part
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeMatches(matches), nil
+	return mergeMatches(out)
 }
 
 // mergeMatches merges matches that share the same hash, concatenating IDs,
@@ -238,34 +156,4 @@ func mergeMatches(in []Match) []Match {
 		return out[i].Hash < out[j].Hash
 	})
 	return out
-}
-
-// PairwiseWithin computes, in parallel, all pairs (i, j), i < j, of the given
-// hashes whose Hamming distance is at most radius. It is PairwiseWithinCtx
-// without cancellation, with fan-out bounded by GOMAXPROCS.
-func PairwiseWithin(hashes []Hash, radius int, fn func(i, j, d int)) {
-	_ = PairwiseWithinCtx(context.Background(), hashes, radius, 0, fn)
-}
-
-// PairwiseWithinCtx computes, in parallel, all pairs (i, j), i < j, of the
-// given hashes whose Hamming distance is at most radius. It is the drop-in
-// replacement for the paper's TensorFlow pairwise comparison step and is used
-// by DBSCAN's neighbourhood precomputation. The callback receives the indexes
-// of the pair and their distance; it must be safe for concurrent invocation.
-// workers bounds the fan-out (0 = GOMAXPROCS). Cancellation stops rows from
-// being scheduled and returns ctx.Err(); rows already dispatched complete.
-func PairwiseWithinCtx(ctx context.Context, hashes []Hash, radius, workers int, fn func(i, j, d int)) error {
-	n := len(hashes)
-	if n < 2 {
-		return ctx.Err()
-	}
-	return parallel.ForCtx(ctx, n, workers, func(i int) {
-		hi := hashes[i]
-		for j := i + 1; j < n; j++ {
-			d := Distance(hi, hashes[j])
-			if d <= radius {
-				fn(i, j, d)
-			}
-		}
-	})
 }

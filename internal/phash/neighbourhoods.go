@@ -34,9 +34,9 @@ func Neighbourhoods(hashes []Hash, radius, workers int) [][]int32 {
 // output is identical for every worker count. Large corpora with a probing-
 // friendly radius are served by a multi-index (one banded probe set per
 // point); everything else takes a blocked pairwise kernel — exactly the
-// work the index's exact fallback would do per query, minus the per-query
-// goroutine, dedup-map, and sort overhead. With one worker the kernel
-// exploits symmetry and computes each pair once.
+// work the index's linear fallback would do per query, minus the per-query
+// dedup-map and sort overhead. With one worker the kernel exploits
+// symmetry and computes each pair once.
 //
 // Cancellation stops rows from being scheduled and returns (nil, ctx.Err());
 // no goroutine outlives the call.

@@ -1,6 +1,7 @@
 // Package phash implements 64-bit DCT-based perceptual hashing of images,
-// Hamming-distance computation, and nearest-neighbour indexes (BK-tree and
-// multi-index hashing) used by the meme-tracking pipeline.
+// Hamming-distance computation, and the all-pairs neighbourhood scans
+// (with multi-index hashing for large corpora) used by the meme-tracking
+// pipeline.
 //
 // The hash follows the classic pHash construction used by the paper's
 // ImageHash dependency: the image is converted to grayscale, downsampled to

@@ -4,26 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"github.com/memes-pipeline/memes/internal/annotate"
 	"github.com/memes-pipeline/memes/internal/cluster"
 	"github.com/memes-pipeline/memes/internal/dataset"
-	"github.com/memes-pipeline/memes/internal/index"
 	"github.com/memes-pipeline/memes/internal/parallel"
 	"github.com/memes-pipeline/memes/internal/phash"
 )
 
 // BuildResult is the resident output of the build phase (Steps 2-5): the
-// per-community clusterings, the annotated clusters, and the read-only
-// medoid index over annotated-cluster medoids that Step 6 queries. Build it
-// once, then serve any number of Associate / Match queries against it — the
-// build/serve split the paper implies when it runs Step 6 over 160M images
-// against a fixed set of annotated clusters. The index strategy is selected
-// by Config.Index (see internal/index); every strategy serves identical
-// results.
+// per-community clusterings, the annotated clusters, and the annotated
+// medoid hashes that Step 6 scans. Build it once, then serve any number of
+// Associate / Match queries against it — the build/serve split the paper
+// implies when it runs Step 6 over 160M images against a fixed set of
+// annotated clusters.
 //
 // A BuildResult is immutable after Build returns and safe for concurrent use
 // by multiple goroutines. Save persists it; LoadBuild reconstitutes it
@@ -41,38 +36,22 @@ type BuildResult struct {
 	// Clusters lists every cluster across the fringe communities; Clusters[i].ID == i.
 	Clusters []ClusterInfo
 
-	medoids     index.MedoidIndex    // index over annotated-cluster medoids, read-only
-	sq          index.ScratchQuerier // medoids, when it serves the zero-alloc scratch path
-	scratch     *sync.Pool           // *phash.Scratch per querying goroutine
-	buildStats  RunStats             // cluster + annotate (or load) stage records
-	buildWall   time.Duration        // end-to-end wall time of Build (or LoadBuild)
-	progress    ProgressFunc         // forwarded to Result's associate stage
-	closer      func() error         // releases the mmap backing a v2 load; nil otherwise
-	snapVersion uint32               // MEMESNAP version loaded from; 0 for in-memory builds
+	// medoidHashes and medoidIDs are the Step 6 scan: the annotated
+	// clusters' medoid hashes and their cluster IDs, in ascending ID order.
+	medoidHashes []phash.Hash
+	medoidIDs    []int
+	buildStats   RunStats      // cluster + annotate (or load) stage records
+	buildWall    time.Duration // end-to-end wall time of Build (or LoadBuild)
+	progress     ProgressFunc  // forwarded to Result's associate stage
+	snapVersion  uint32        // MEMESNAP version loaded from; 0 for in-memory builds
 }
 
 // SnapshotVersion reports the MEMESNAP format version this BuildResult was
-// reconstituted from: 1 for the varint streaming layout, 2 for the flat
-// mmap layout, and 0 for a result built in memory rather than loaded from a
-// snapshot. Serving exposes it as a gauge so operators can tell which
-// artifact generation a replica is running.
+// reconstituted from — 3, the only version the loaders accept — or 0 for a
+// result built in memory rather than loaded from a snapshot. Serving
+// exposes it as a gauge so operators can tell which artifact generation a
+// replica is running.
 func (b *BuildResult) SnapshotVersion() uint32 { return b.snapVersion }
-
-// Close releases the memory mapping backing a BuildResult loaded from a v2
-// snapshot file. After Close the flat index aliases unmapped memory, so the
-// caller must have quiesced every query first. Close is idempotent, and
-// calling it is optional: an unclosed mapping is released by the garbage
-// collector once the BuildResult is unreachable. Builds and non-mmap loads
-// have nothing to release; Close on them is a no-op.
-func (b *BuildResult) Close() error {
-	c := b.closer
-	if c == nil {
-		return nil
-	}
-	b.closer = nil
-	runtime.SetFinalizer(b, nil)
-	return c()
-}
 
 // Match is the outcome of a single-hash lookup against the annotated
 // clusters: the winning cluster and its Hamming distance from the query.
@@ -86,8 +65,8 @@ type Match struct {
 
 // Build executes the expensive offline phase (Steps 2-5) over a dataset and
 // an annotation site: per-community DBSCAN clustering, medoid
-// materialisation, and medoid annotation, plus construction of the Step 6
-// medoid index. The stages run concurrently on Config.Workers workers, but
+// materialisation, and medoid annotation, plus collection of the annotated
+// medoids Step 6 scans. The stages run concurrently on Config.Workers workers, but
 // the returned BuildResult (clusters, IDs, summaries) is identical for every
 // worker count.
 //
@@ -178,7 +157,7 @@ func Build(ctx context.Context, ds *dataset.Dataset, site *annotate.Site, cfg Co
 	}
 	em.record(StageNeighbours, neighDur, neighPoints)
 
-	// Step 5 plus the merge and index build, shared with the incremental
+	// Step 5 plus the merge and the Step 6 scan, shared with the incremental
 	// rebuild path so both assign byte-identical IDs and annotations.
 	annotated, err := assemble(ctx, b, fringe, partials, workers, em)
 	if err != nil {
@@ -194,7 +173,7 @@ func Build(ctx context.Context, ds *dataset.Dataset, site *annotate.Site, cfg Co
 
 // assemble runs Step 5 (batch medoid annotation) over fully materialised
 // partials, merges them into b in fixed community order — assigning stable
-// sequential cluster IDs — and builds the Step 6 index. It returns the
+// sequential cluster IDs — and collects the Step 6 scan. It returns the
 // annotated-cluster count. Shared by Build and Incremental.RebuildCtx: the
 // streaming path's determinism guarantee (bitwise-identical clusters to a
 // from-scratch build over the union corpus) holds by construction because
@@ -251,47 +230,23 @@ func assemble(ctx context.Context, b *BuildResult, fringe []dataset.Community, p
 	}
 	em.done(StageAnnotate, stageStart, totalClusters)
 
-	// The Step 6 index, built once and queried by every Associate / Match.
-	return b.buildIndex()
+	return b.indexMedoids(), nil
 }
 
-// buildIndex (re)builds the Step 6 medoid index from the annotated clusters
-// using the configured strategy, and returns the annotated-cluster count. It
-// is shared by Build and LoadBuild — the index is always reconstructed from
-// medoid hashes, never persisted, so snapshots stay strategy-agnostic.
-func (b *BuildResult) buildIndex() (int, error) {
-	idx, err := index.New(b.Config.Index)
-	if err != nil {
-		return 0, err
-	}
-	// One Workers knob governs every stage: indexes with internal per-query
-	// fan-out (sharded) inherit the same bound as the post-batch workers.
-	if wb, ok := idx.(index.WorkerBound); ok {
-		wb.SetWorkers(b.Config.Workers)
-	}
-	annotated := 0
+// indexMedoids collects the Step 6 scan from the cluster table — the
+// annotated clusters' medoid hashes and IDs, in ascending ID order — and
+// returns the annotated-cluster count. Build and every snapshot load run
+// this same function, so a loaded engine serves exactly what its cluster
+// table implies.
+func (b *BuildResult) indexMedoids() int {
+	b.medoidHashes, b.medoidIDs = nil, nil
 	for i := range b.Clusters {
 		if b.Clusters[i].Annotated() {
-			idx.Insert(b.Clusters[i].MedoidHash, int64(b.Clusters[i].ID))
-			annotated++
+			b.medoidHashes = append(b.medoidHashes, b.Clusters[i].MedoidHash)
+			b.medoidIDs = append(b.medoidIDs, b.Clusters[i].ID)
 		}
 	}
-	b.setIndex(idx)
-	return annotated, nil
-}
-
-// setIndex installs a fully populated medoid index: strategies that support
-// it are sealed into their flat, immutable form, and the zero-allocation
-// scratch query path is cached so every Match/Associate afterwards reuses
-// pooled per-goroutine scratch instead of allocating candidate stacks and
-// result buffers per query.
-func (b *BuildResult) setIndex(idx index.MedoidIndex) {
-	if s, ok := idx.(index.Sealer); ok {
-		s.Seal()
-	}
-	b.medoids = idx
-	b.sq, _ = idx.(index.ScratchQuerier)
-	b.scratch = &sync.Pool{New: func() any { return new(phash.Scratch) }}
+	return len(b.medoidHashes)
 }
 
 // Stats returns the build-phase stage records (cluster and annotate); the
@@ -311,19 +266,19 @@ func (b *BuildResult) Communities() []dataset.Community {
 
 // Associate runs Step 6 over an arbitrary batch of posts — they need not be
 // part of the dataset the build ran on. Every image post is matched against
-// the annotated-cluster medoid index; the nearest medoid within the
+// the annotated-cluster medoids; the nearest medoid within the
 // association threshold wins, with ties broken by the lowest cluster ID.
 // PostIndex in the returned associations indexes into posts, which come out
 // sorted by that index.
 //
-// Associate is goroutine-safe (the medoid index is read-only) and stops
+// Associate is goroutine-safe (the medoid scan is read-only) and stops
 // promptly with ctx.Err() when ctx is cancelled. The result is identical for
 // any worker count.
 func (b *BuildResult) Associate(ctx context.Context, posts []dataset.Post) ([]Association, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if b.medoids.Len() == 0 {
+	if len(b.medoidHashes) == 0 {
 		return nil, ctx.Err()
 	}
 	return parallel.MapChunksCtx(ctx, len(posts), b.Config.Workers, func(lo, hi int) []Association {
@@ -333,8 +288,8 @@ func (b *BuildResult) Associate(ctx context.Context, posts []dataset.Post) ([]As
 			if !p.HasImage {
 				continue
 			}
-			// The chunk fan-out already honours ctx; the per-hash index
-			// probe runs uncancelled so a chunk's associations are all-or-
+			// The chunk fan-out already honours ctx; the per-hash scan
+			// runs uncancelled so a chunk's associations are all-or-
 			// nothing.
 			if m, ok := b.match(p.PHash()); ok {
 				out = append(out, Association{PostIndex: i, ClusterID: m.ClusterID, Distance: m.Distance})
@@ -347,9 +302,9 @@ func (b *BuildResult) Associate(ctx context.Context, posts []dataset.Post) ([]As
 // AssociateAppend is Associate for resident serving loops: it appends the
 // associations for posts to out and returns the extended slice, so a caller
 // that reuses its buffer (out = out[:0] between batches) pays zero
-// steady-state allocations — the batch result, the per-query candidate
-// stacks, and the radius buffers all live in reused memory. The produced
-// associations are bitwise identical to Associate's for the same posts.
+// steady-state allocations — the batch result lives in reused memory and
+// the medoid scan allocates nothing. The produced associations are bitwise
+// identical to Associate's for the same posts.
 //
 // The batch runs on the calling goroutine (serving layers batch many small
 // requests, so parallelism across batches beats fan-out within one); ctx is
@@ -363,7 +318,7 @@ func (b *BuildResult) AssociateAppend(ctx context.Context, posts []dataset.Post,
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
-	if b.medoids.Len() == 0 {
+	if len(b.medoidHashes) == 0 {
 		return out, nil
 	}
 	for i := range posts {
@@ -388,71 +343,34 @@ func (b *BuildResult) AssociateAppend(ctx context.Context, posts []dataset.Post,
 // within the association threshold. Goroutine-safe.
 func (b *BuildResult) Match(h phash.Hash) (Match, bool) { return b.match(h) }
 
-// MatchCtx is Match honouring ctx cancellation. Sealed indexes serve the
-// zero-allocation scratch path with a single ctx check on entry (a sealed
-// radius probe is short and uncancellable by construction); unsealed
-// strategies with internal query fan-out (sharded, multi-index) stop early
-// and return ctx.Err(). Goroutine-safe.
+// MatchCtx is Match honouring ctx cancellation: one ctx check on entry, then
+// the scan, which is short and uncancellable. Goroutine-safe.
 func (b *BuildResult) MatchCtx(ctx context.Context, h phash.Hash) (Match, bool, error) {
-	if b.sq != nil {
-		if err := ctx.Err(); err != nil {
-			return Match{}, false, err
-		}
-		m, ok := b.match(h)
-		return m, ok, nil
+	if err := ctx.Err(); err != nil {
+		return Match{}, false, err
 	}
-	var matches []phash.Match
-	if cq, ok := b.medoids.(index.CtxQuerier); ok {
-		var err error
-		matches, err = cq.RadiusCtx(ctx, h, b.Config.AssociationThreshold)
-		if err != nil {
-			return Match{}, false, err
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return Match{}, false, err
-		}
-		matches = b.medoids.Radius(h, b.Config.AssociationThreshold)
-	}
-	m, ok := pickMatch(matches)
+	m, ok := b.match(h)
 	return m, ok, nil
 }
 
-// match picks the deterministic winner among the radius matches: the
-// minimum distance, with ties broken by the lowest cluster ID across all
-// matches at that distance, so the index's traversal order never shows
-// through — a hard requirement for every strategy to serve bitwise-equal
-// results. When the index serves the scratch path, the whole probe runs
-// through pooled per-goroutine scratch and allocates nothing in steady
-// state; pickMatch only reads the scratch-backed slice, which is returned
-// to the pool before the reduced answer escapes.
+// match is the Step 6 scan — the paper's brute-force pairing of a post
+// image with every annotated medoid: the nearest medoid within the
+// association threshold wins. The medoids are in ascending cluster-ID order
+// and only a strictly closer medoid replaces the best so far, so ties go to
+// the lowest cluster ID.
 //
 //memes:noalloc
 func (b *BuildResult) match(h phash.Hash) (Match, bool) {
-	if b.sq != nil {
-		sc := b.scratch.Get().(*phash.Scratch)
-		m, ok := pickMatch(b.sq.RadiusScratch(h, b.Config.AssociationThreshold, sc))
-		b.scratch.Put(sc)
-		return m, ok
-	}
-	return pickMatch(b.medoids.Radius(h, b.Config.AssociationThreshold))
-}
-
-// pickMatch reduces a radius match set to the deterministic winner.
-func pickMatch(matches []phash.Match) (Match, bool) {
-	if len(matches) == 0 {
-		return Match{}, false
-	}
-	bestDist := phash.MaxDistance + 1
-	var bestID int64
-	for _, m := range matches {
-		for _, id := range m.IDs {
-			if m.Distance < bestDist || (m.Distance == bestDist && id < bestID) {
-				bestDist, bestID = m.Distance, id
-			}
+	best, at := b.Config.AssociationThreshold+1, -1
+	for i, m := range b.medoidHashes {
+		if d := phash.Distance(h, m); d < best {
+			best, at = d, i
 		}
 	}
-	return Match{ClusterID: int(bestID), Distance: bestDist}, true
+	if at < 0 {
+		return Match{}, false
+	}
+	return Match{ClusterID: b.medoidIDs[at], Distance: best}, true
 }
 
 // Result materialises the legacy one-shot Result from the build: it runs

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRunDeterministicAcrossWorkerCounts asserts the engine's core
-// guarantee: pipeline.Run produces identical clusters, associations, and
+// guarantee: Build followed by Result produces identical clusters, associations, and
 // per-community summaries for any worker count.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	ds, err := dataset.Generate(dataset.SmallConfig())
@@ -23,9 +23,9 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) *Result {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
-		res, err := Run(ds, site, cfg)
+		res, err := runOnce(ds, site, cfg)
 		if err != nil {
-			t.Fatalf("Run(workers=%d): %v", workers, err)
+			t.Fatalf("run(workers=%d): %v", workers, err)
 		}
 		return res
 	}

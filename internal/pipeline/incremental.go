@@ -21,7 +21,7 @@ import (
 // The determinism contract is the whole point: after any sequence of
 // AddPosts/RebuildCtx calls, the returned BuildResult is bitwise-identical
 // (as pinned by Save bytes) to Build over the union corpus in ingest order,
-// for every worker count and index strategy. It holds because community
+// for every worker count. It holds because community
 // states replay posts in the same first-appearance order clusterCommunity
 // uses, cluster.Incremental produces labels bitwise-equal to a batch DBSCAN,
 // and the assemble step is literally shared with Build.
@@ -156,7 +156,7 @@ func (inc *Incremental) UnionDataset() *dataset.Dataset {
 // RebuildCtx re-clusters every community with unabsorbed changes — the first
 // call pays the full neighbourhood scan, later calls only scan new points
 // against the cached lists — and assembles a fresh BuildResult over the
-// union corpus via the exact annotate/merge/index path Build uses. The
+// union corpus via the exact annotate/merge/scan path Build uses. The
 // result is immutable and ready for HotEngine.Swap.
 func (inc *Incremental) RebuildCtx(ctx context.Context, progress ProgressFunc) (*BuildResult, error) {
 	if ctx == nil {

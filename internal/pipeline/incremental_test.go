@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/memes-pipeline/memes/internal/dataset"
-	"github.com/memes-pipeline/memes/internal/index"
 )
 
 // carveCorpus splits a generated corpus into a base dataset and the tail
@@ -42,7 +41,7 @@ func snapshotBytes(t *testing.T, b *BuildResult) []byte {
 // absorbing the remaining posts in staged batches — re-clustering after each
 // batch, which exercises the cached-neighbourhood extension path — must end
 // bitwise-identical (Save bytes) to a from-scratch Build over the union
-// corpus, across worker counts and index strategies.
+// corpus, across worker counts.
 func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 	full, base, live := carveCorpus(t, 150)
 	site, err := full.Site(true)
@@ -51,61 +50,58 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	for _, strategy := range index.Strategies() {
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			cfg := DefaultConfig()
-			cfg.Index = strategy
-			cfg.Workers = workers
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
 
-			ref, err := Build(ctx, full, site, cfg, nil)
+		ref, err := Build(ctx, full, site, cfg, nil)
+		if err != nil {
+			t.Fatalf("w%d: from-scratch Build: %v", workers, err)
+		}
+		want := snapshotBytes(t, ref)
+
+		baseRef, err := Build(ctx, base, site, cfg, nil)
+		if err != nil {
+			t.Fatalf("w%d: base Build: %v", workers, err)
+		}
+
+		inc, err := NewIncremental(base, site, cfg)
+		if err != nil {
+			t.Fatalf("w%d: NewIncremental: %v", workers, err)
+		}
+		// Prime: the first rebuild with zero added posts must equal the
+		// base build exactly.
+		primed, err := inc.RebuildCtx(ctx, nil)
+		if err != nil {
+			t.Fatalf("w%d: prime RebuildCtx: %v", workers, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, primed), snapshotBytes(t, baseRef)) {
+			t.Fatalf("w%d: primed rebuild diverges from base Build", workers)
+		}
+
+		// Absorb the live tail in three uneven batches, re-clustering
+		// after each so resident neighbourhood lists get extended twice.
+		cuts := []int{0, len(live) / 4, len(live) / 2, len(live)}
+		var got *BuildResult
+		for bi := 1; bi < len(cuts); bi++ {
+			inc.AddPosts(live[cuts[bi-1]:cuts[bi]])
+			got, err = inc.RebuildCtx(ctx, nil)
 			if err != nil {
-				t.Fatalf("%s/w%d: from-scratch Build: %v", strategy, workers, err)
+				t.Fatalf("w%d: batch %d RebuildCtx: %v", workers, bi, err)
 			}
-			want := snapshotBytes(t, ref)
+		}
+		if !bytes.Equal(snapshotBytes(t, got), want) {
+			t.Errorf("w%d: incremental result diverges from from-scratch build over the union corpus", workers)
+		}
+		if inc.Added() != len(live) {
+			t.Errorf("w%d: Added = %d, want %d", workers, inc.Added(), len(live))
+		}
 
-			baseRef, err := Build(ctx, base, site, cfg, nil)
-			if err != nil {
-				t.Fatalf("%s/w%d: base Build: %v", strategy, workers, err)
-			}
-
-			inc, err := NewIncremental(base, site, cfg)
-			if err != nil {
-				t.Fatalf("%s/w%d: NewIncremental: %v", strategy, workers, err)
-			}
-			// Prime: the first rebuild with zero added posts must equal the
-			// base build exactly.
-			primed, err := inc.RebuildCtx(ctx, nil)
-			if err != nil {
-				t.Fatalf("%s/w%d: prime RebuildCtx: %v", strategy, workers, err)
-			}
-			if !bytes.Equal(snapshotBytes(t, primed), snapshotBytes(t, baseRef)) {
-				t.Fatalf("%s/w%d: primed rebuild diverges from base Build", strategy, workers)
-			}
-
-			// Absorb the live tail in three uneven batches, re-clustering
-			// after each so resident neighbourhood lists get extended twice.
-			cuts := []int{0, len(live) / 4, len(live) / 2, len(live)}
-			var got *BuildResult
-			for bi := 1; bi < len(cuts); bi++ {
-				inc.AddPosts(live[cuts[bi-1]:cuts[bi]])
-				got, err = inc.RebuildCtx(ctx, nil)
-				if err != nil {
-					t.Fatalf("%s/w%d: batch %d RebuildCtx: %v", strategy, workers, bi, err)
-				}
-			}
-			if !bytes.Equal(snapshotBytes(t, got), want) {
-				t.Errorf("%s/w%d: incremental result diverges from from-scratch build over the union corpus", strategy, workers)
-			}
-			if inc.Added() != len(live) {
-				t.Errorf("%s/w%d: Added = %d, want %d", strategy, workers, inc.Added(), len(live))
-			}
-
-			// The union dataset must present the full post sequence, so
-			// Result() and Associate see the ingested posts.
-			u := inc.UnionDataset()
-			if len(u.Posts) != len(full.Posts) {
-				t.Errorf("%s/w%d: union has %d posts, want %d", strategy, workers, len(u.Posts), len(full.Posts))
-			}
+		// The union dataset must present the full post sequence, so
+		// Result() and Associate see the ingested posts.
+		u := inc.UnionDataset()
+		if len(u.Posts) != len(full.Posts) {
+			t.Errorf("w%d: union has %d posts, want %d", workers, len(u.Posts), len(full.Posts))
 		}
 	}
 }

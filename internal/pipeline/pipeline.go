@@ -13,17 +13,16 @@
 // mirror the paper's cost structure:
 //
 //   - Build (Steps 2-5, expensive, offline): per-community DBSCAN fan-out,
-//     parallel medoid materialisation, batch medoid annotation, and
-//     construction of the annotated-medoid index (a pluggable
-//     internal/index strategy selected by Config.Index). The output is a
-//     resident, immutable BuildResult, persistable with Save and
-//     reconstitutable with LoadBuild without re-running Steps 2-5.
+//     parallel medoid materialisation, and batch medoid annotation. The
+//     output is a resident, immutable BuildResult, persistable with Save
+//     and reconstitutable with LoadBuild without re-running Steps 2-5.
 //   - Associate (Step 6, cheap, repeatable): any post batch — including
-//     posts not in the original dataset — streams through a worker pool
-//     against the BuildResult's medoid index. BuildResult.Match answers
-//     single-hash lookups for serving front-ends.
+//     posts not in the original dataset — streams through a worker pool,
+//     each image scanned against every annotated medoid.
+//     BuildResult.Match answers single-hash lookups for serving
+//     front-ends.
 //
-// Run / RunContext compose the two phases into the legacy one-shot call.
+// BuildResult.Result composes the two phases into the one-shot Result.
 // Every stage merges its results in a fixed order, so Result is identical
 // for any Config.Workers value; Result.Stats records the per-stage wall
 // time and is derived from the StageEvent stream a ProgressFunc observes.
@@ -40,7 +39,6 @@ import (
 	"github.com/memes-pipeline/memes/internal/cluster"
 	"github.com/memes-pipeline/memes/internal/dataset"
 	"github.com/memes-pipeline/memes/internal/distance"
-	"github.com/memes-pipeline/memes/internal/index"
 	"github.com/memes-pipeline/memes/internal/parallel"
 	"github.com/memes-pipeline/memes/internal/phash"
 )
@@ -60,11 +58,6 @@ type Config struct {
 	// zero means GOMAXPROCS. The pipeline output is identical for any
 	// worker count.
 	Workers int
-	// Index selects the medoid-index strategy the Step 6 serve path queries
-	// (see internal/index); empty means the default BK-tree. Every
-	// registered strategy produces identical associations — the choice only
-	// shapes the cost profile.
-	Index index.Strategy
 }
 
 // DefaultConfig returns the paper's parameters.
@@ -89,9 +82,6 @@ func (c Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return errors.New("pipeline: negative worker count")
-	}
-	if err := c.Index.Validate(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -224,31 +214,9 @@ type communityPartial struct {
 	clusters []cluster.Cluster
 }
 
-// Run executes Steps 1-6 over a generated dataset and an annotation site.
-// The site should already have screenshots removed (Step 4); use
-// dataset.Dataset.Site(true) or a screenshot.Classifier-based filter.
-//
-// The stages run concurrently on Config.Workers workers, but the returned
-// Result (clusters, IDs, associations, summaries) is identical for every
-// worker count. Run is the one-shot composition of Build (Steps 2-5) and
-// BuildResult.Result (Step 6); callers that query repeatedly should Build
-// once and Associate many times instead.
-func Run(ds *dataset.Dataset, site *annotate.Site, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), ds, site, cfg, nil)
-}
-
-// RunContext is Run with cancellation and progress observation.
-func RunContext(ctx context.Context, ds *dataset.Dataset, site *annotate.Site, cfg Config, progress ProgressFunc) (*Result, error) {
-	b, err := Build(ctx, ds, site, cfg, progress)
-	if err != nil {
-		return nil, err
-	}
-	return b.Result(ctx)
-}
-
 // clusterCommunity performs the first phase of Steps 2-3 for one fringe
 // community: distinct-hash extraction and DBSCAN. Medoid materialisation
-// happens afterwards in Run, one community at a time. workers is the
+// happens afterwards in Build, one community at a time. workers is the
 // neighbourhood-scan budget for this community's DBSCAN; an explicit
 // cfg.Clustering.Workers takes precedence.
 func clusterCommunity(ctx context.Context, ds *dataset.Dataset, comm dataset.Community, cfg Config, workers int) (communityPartial, error) {

@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"context"
 	"image"
 	"testing"
 
+	"github.com/memes-pipeline/memes/internal/annotate"
 	"github.com/memes-pipeline/memes/internal/cluster"
 	"github.com/memes-pipeline/memes/internal/dataset"
 	"github.com/memes-pipeline/memes/internal/imaging"
@@ -27,12 +29,21 @@ func getRun(t *testing.T) *Result {
 	if err != nil {
 		t.Fatalf("Site: %v", err)
 	}
-	res, err := Run(ds, site, DefaultConfig())
+	res, err := runOnce(ds, site, DefaultConfig())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	sharedRun = res
 	return res
+}
+
+// runOnce is the one-shot Steps 2-6 run: Build followed by Result.
+func runOnce(ds *dataset.Dataset, site *annotate.Site, cfg Config) (*Result, error) {
+	b, err := Build(context.Background(), ds, site, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return b.Result(context.Background())
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -53,7 +64,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestRunInputValidation(t *testing.T) {
-	if _, err := Run(nil, nil, DefaultConfig()); err == nil {
+	if _, err := runOnce(nil, nil, DefaultConfig()); err == nil {
 		t.Fatal("nil inputs should be rejected")
 	}
 	ds, err := dataset.Generate(func() dataset.Config {
@@ -72,7 +83,7 @@ func TestRunInputValidation(t *testing.T) {
 	}
 	badCfg := DefaultConfig()
 	badCfg.AnnotationThreshold = 200
-	if _, err := Run(ds, site, badCfg); err == nil {
+	if _, err := runOnce(ds, site, badCfg); err == nil {
 		t.Fatal("invalid config should be rejected")
 	}
 }

@@ -12,353 +12,54 @@ import (
 	"time"
 
 	"github.com/memes-pipeline/memes/internal/annotate"
-	"github.com/memes-pipeline/memes/internal/cluster"
 	"github.com/memes-pipeline/memes/internal/dataset"
-	"github.com/memes-pipeline/memes/internal/index"
-	"github.com/memes-pipeline/memes/internal/parallel"
-	"github.com/memes-pipeline/memes/internal/phash"
 )
 
-// Snapshot persistence: a BuildResult serialises to a versioned binary
-// stream so the expensive Steps 2-5 build runs once — on a big box, in a
-// batch job — and any number of serving processes reconstitute the engine
-// from the snapshot without touching the corpus. The stream carries the
-// configuration echo, the per-community clustering summaries, and every
-// cluster's metadata including its medoid hash and annotation (entries
-// referenced by name). It deliberately does NOT carry:
+// Snapshot persistence: a BuildResult serialises to one MEMESNAP file so
+// the expensive Steps 2-5 build runs once — on a big box, in a batch job —
+// and any number of serving processes reconstitute the engine from the
+// snapshot without touching the corpus. The file carries the configuration
+// echo, the per-community clustering summaries, and every cluster's
+// metadata including its medoid hash and annotation (entries referenced by
+// name). It deliberately does NOT carry:
 //
-//   - the medoid index: it is rebuilt from the medoid hashes on load, so a
-//     snapshot written under one index strategy loads under any other;
+//   - the Step 6 medoid scan: the loader rebuilds it from the cluster table
+//     with the same function Build uses, so there is no index data for a
+//     loader to cross-check and no way for a file to serve answers its
+//     cluster table does not imply;
 //   - the dataset: posts are the traffic, not the artifact — bind one at
 //     load time only if the legacy full-corpus Result is needed;
 //   - the annotation site's entries: the loader resolves entry names
 //     against the site it is given, which keeps snapshots small and makes a
 //     site/snapshot mismatch a loud error instead of silent drift.
 //
-// All integers are unsigned varints (zig-zag for signed values), strings
-// are length-prefixed UTF-8, and the payload is protected by a trailing
-// CRC-32 so truncation or corruption fails loudly. The format is versioned
-// by a magic header; readers reject versions they do not understand.
+// The layout is described in snapv3.go; a trailing CRC-32 makes truncation
+// or corruption fail loudly, and readers reject every version but 3.
 
 // snapshotMagic identifies a snapshot stream; the uint32 that follows is
-// the format version (see SnapshotV1 / SnapshotV2 in snapv2.go).
+// the format version.
 var snapshotMagic = [8]byte{'M', 'E', 'M', 'E', 'S', 'N', 'A', 'P'}
 
-// Save writes a binary snapshot of the build to w in the latest format
-// (MEMESNAP v2, the flat mmap-able layout). The snapshot captures
-// everything Steps 2-5 produced; LoadBuild reconstitutes an equivalent
-// BuildResult without re-running them.
-func (b *BuildResult) Save(w io.Writer) error {
-	return b.SaveVersion(w, SnapshotLatest)
-}
-
-// SaveVersion writes a snapshot in an explicit format version: SnapshotV1
-// (the varint streaming layout, for consumers that predate v2) or
-// SnapshotV2. Both round-trip through LoadBuild to equivalent engines
-// serving bitwise-identical query output.
-func (b *BuildResult) SaveVersion(w io.Writer, version uint32) error {
-	switch version {
-	case SnapshotV1:
-		return b.saveV1(w)
-	case SnapshotV2:
-		return b.saveV2(w)
-	default:
-		return fmt.Errorf("pipeline: unsupported snapshot version %d (supported: %d, %d)", version, SnapshotV1, SnapshotV2)
-	}
-}
-
-// saveV1 writes the original varint streaming layout.
-func (b *BuildResult) saveV1(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		return fmt.Errorf("pipeline: writing snapshot header: %w", err)
-	}
-	var verbuf [4]byte
-	binary.LittleEndian.PutUint32(verbuf[:], SnapshotV1)
-	if _, err := bw.Write(verbuf[:]); err != nil {
-		return fmt.Errorf("pipeline: writing snapshot header: %w", err)
-	}
-
-	// Everything after the header streams through the CRC.
-	crc := crc32.NewIEEE()
-	enc := &snapEncoder{w: io.MultiWriter(bw, crc)}
-
-	// Config echo.
-	enc.uvarint(uint64(b.Config.Clustering.Eps))
-	enc.uvarint(uint64(b.Config.Clustering.MinPts))
-	enc.uvarint(uint64(b.Config.AnnotationThreshold))
-	enc.uvarint(uint64(b.Config.AssociationThreshold))
-	enc.uvarint(uint64(b.Config.Workers))
-	enc.string(string(b.Config.Index))
-
-	// Per-community summaries, in the fixed dataset.Communities() order so
-	// the byte stream is identical across runs and worker counts.
-	comms := b.Communities()
-	enc.uvarint(uint64(len(comms)))
-	for _, c := range comms {
-		s := b.PerCommunity[c]
-		enc.uvarint(uint64(c))
-		enc.uvarint(uint64(s.Images))
-		enc.uvarint(uint64(s.DistinctHashes))
-		enc.uvarint(uint64(s.NoiseImages))
-		enc.uvarint(uint64(s.Clusters))
-		enc.uvarint(uint64(s.Annotated))
-	}
-
-	// Clusters with their medoid hashes and annotations (entries by name).
-	enc.uvarint(uint64(len(b.Clusters)))
-	for i := range b.Clusters {
-		ci := &b.Clusters[i]
-		enc.uvarint(uint64(ci.ID))
-		enc.uvarint(uint64(ci.Community))
-		enc.varint(int64(ci.Label))
-		enc.uint64(uint64(ci.MedoidHash))
-		enc.uvarint(uint64(ci.Images))
-		enc.uvarint(uint64(ci.DistinctHashes))
-		enc.bool(ci.Racist)
-		enc.bool(ci.Political)
-		enc.uvarint(uint64(len(ci.Annotation.Matches)))
-		for _, m := range ci.Annotation.Matches {
-			enc.string(m.Entry.Name)
-			enc.uvarint(uint64(m.Matches))
-			enc.float64(m.MatchFraction)
-			enc.float64(m.MeanDistance)
-		}
-		rep := ""
-		if ci.Annotation.Representative != nil {
-			rep = ci.Annotation.Representative.Name
-		}
-		enc.string(rep)
-	}
-	if enc.err != nil {
-		return fmt.Errorf("pipeline: writing snapshot: %w", enc.err)
-	}
-
-	// Trailing CRC over the payload.
-	var crcbuf [4]byte
-	binary.LittleEndian.PutUint32(crcbuf[:], crc.Sum32())
-	if _, err := bw.Write(crcbuf[:]); err != nil {
-		return fmt.Errorf("pipeline: writing snapshot checksum: %w", err)
-	}
-	return bw.Flush()
-}
-
 // LoadBuild reads a snapshot written by Save and reconstitutes a BuildResult
-// bound to the given annotation site, rebuilding the medoid index from the
-// persisted medoid hashes — no Steps 2-5 work runs. Annotation entries are
-// resolved by name against site; a snapshot whose entries the site does not
-// carry fails loudly.
+// bound to the given annotation site, rebuilding the Step 6 medoid scan from
+// the persisted cluster table — no Steps 2-5 work runs. Annotation entries
+// are resolved by name against site; a snapshot whose entries the site does
+// not carry fails loudly.
 //
 // ds may be nil: Associate and Match serve arbitrary posts without it, and
 // only the legacy full-corpus Result requires a bound dataset. reconfig, if
-// non-nil, may adjust the decoded configuration (worker count, index
-// strategy) before the index is rebuilt; changing build-phase thresholds has
-// no effect on the already-built clusters and only skews the config echo.
-// progress observes a single StageLoad start/completion event pair.
+// non-nil, may adjust the decoded configuration (worker count) before the
+// engine is assembled; changing build-phase thresholds has no effect on the
+// already-built clusters and only skews the config echo. progress observes
+// a single StageLoad start/completion event pair.
 func LoadBuild(r io.Reader, site *annotate.Site, ds *dataset.Dataset, reconfig func(*Config), progress ProgressFunc) (*BuildResult, error) {
-	if site == nil {
-		return nil, errors.New("pipeline: nil annotation site")
-	}
-	br := bufio.NewReader(r)
-	header, err := br.Peek(12)
+	// The layout is random-access, not streaming: slurp it and decode in
+	// place. File-based callers use LoadBuildFile, which mmaps instead.
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: reading snapshot header: %w", err)
+		return nil, fmt.Errorf("pipeline: reading snapshot: %w", err)
 	}
-	if [8]byte(header[:8]) != snapshotMagic {
-		return nil, errors.New("pipeline: not a snapshot stream (bad magic)")
-	}
-	switch v := binary.LittleEndian.Uint32(header[8:12]); v {
-	case SnapshotV1:
-		return loadBuildV1(br, site, ds, reconfig, progress)
-	case SnapshotV2:
-		// The flat layout is random-access, not streaming: slurp the rest
-		// and decode in place. File-based callers use LoadBuildFile, which
-		// mmaps instead of reading.
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: reading snapshot: %w", err)
-		}
-		return loadBuildV2(data, site, ds, reconfig, progress)
-	default:
-		return nil, fmt.Errorf("pipeline: unsupported snapshot version %d (supported: %d, %d)", v, SnapshotV1, SnapshotV2)
-	}
-}
-
-// loadBuildV1 decodes the varint streaming layout; br is positioned at the
-// start of the stream (header included — it is re-read here).
-func loadBuildV1(br *bufio.Reader, site *annotate.Site, ds *dataset.Dataset, reconfig func(*Config), progress ProgressFunc) (*BuildResult, error) {
-	start := now()
-	var header [12]byte
-	if _, err := io.ReadFull(br, header[:]); err != nil {
-		return nil, fmt.Errorf("pipeline: reading snapshot header: %w", err)
-	}
-
-	crc := crc32.NewIEEE()
-	dec := &snapDecoder{r: br, crc: crc}
-
-	b := &BuildResult{
-		Site:         site,
-		Dataset:      ds,
-		PerCommunity: make(map[dataset.Community]CommunityClustering),
-		snapVersion:  SnapshotV1,
-	}
-	b.Config = Config{
-		Clustering: cluster.DBSCANConfig{
-			Eps:    int(dec.uvarint()),
-			MinPts: int(dec.uvarint()),
-		},
-		AnnotationThreshold:  int(dec.uvarint()),
-		AssociationThreshold: int(dec.uvarint()),
-		Workers:              int(dec.uvarint()),
-		Index:                index.Strategy(dec.string()),
-	}
-
-	// Decode phase: only structural reads, no semantic validation — a
-	// corrupt stream must be diagnosed by the CRC check below, not by
-	// whichever garbled value happens to trip a validity rule first. Entry
-	// names are held as strings and resolved afterwards.
-	type matchRaw struct {
-		name          string
-		matches       int
-		matchFraction float64
-		meanDistance  float64
-	}
-	type clusterRaw struct {
-		info    ClusterInfo
-		matches []matchRaw
-		rep     string
-	}
-
-	nComms := int(dec.uvarint())
-	type commRaw struct {
-		c dataset.Community
-		s CommunityClustering
-	}
-	var comms []commRaw
-	for i := 0; i < nComms && dec.err == nil; i++ {
-		c := dataset.Community(dec.uvarint())
-		comms = append(comms, commRaw{c: c, s: CommunityClustering{
-			Community:      c,
-			Images:         int(dec.uvarint()),
-			DistinctHashes: int(dec.uvarint()),
-			NoiseImages:    int(dec.uvarint()),
-			Clusters:       int(dec.uvarint()),
-			Annotated:      int(dec.uvarint()),
-		}})
-	}
-
-	nClusters := int(dec.uvarint())
-	var clusters []clusterRaw
-	if dec.err == nil && nClusters > 0 {
-		// Cap the pre-allocation: a corrupt count must not trigger a huge
-		// allocation before the CRC check gets a chance to reject the
-		// stream. The slice still grows to the true size via append.
-		capHint := nClusters
-		if capHint > 1<<16 {
-			capHint = 1 << 16
-		}
-		clusters = make([]clusterRaw, 0, capHint)
-	}
-	for i := 0; i < nClusters && dec.err == nil; i++ {
-		cr := clusterRaw{info: ClusterInfo{
-			ID:         int(dec.uvarint()),
-			Community:  dataset.Community(dec.uvarint()),
-			Label:      int(dec.varint()),
-			MedoidHash: phash.Hash(dec.uint64()),
-		}}
-		cr.info.Images = int(dec.uvarint())
-		cr.info.DistinctHashes = int(dec.uvarint())
-		cr.info.Racist = dec.bool()
-		cr.info.Political = dec.bool()
-		nMatches := int(dec.uvarint())
-		for j := 0; j < nMatches && dec.err == nil; j++ {
-			cr.matches = append(cr.matches, matchRaw{
-				name:          dec.string(),
-				matches:       int(dec.uvarint()),
-				matchFraction: dec.float64(),
-				meanDistance:  dec.float64(),
-			})
-		}
-		cr.rep = dec.string()
-		clusters = append(clusters, cr)
-	}
-	if dec.err != nil {
-		return nil, fmt.Errorf("pipeline: reading snapshot: %w", dec.err)
-	}
-
-	// Verify the payload checksum before trusting (or validating) any of it.
-	want := crc.Sum32()
-	var crcbuf [4]byte
-	if _, err := io.ReadFull(br, crcbuf[:]); err != nil {
-		return nil, fmt.Errorf("pipeline: reading snapshot checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(crcbuf[:]); got != want {
-		return nil, fmt.Errorf("pipeline: snapshot checksum mismatch (stored %08x, computed %08x): stream corrupt", got, want)
-	}
-
-	// Validation and resolution phase: the stream is intact, so every
-	// failure from here on is a genuine semantic mismatch (wrong site,
-	// incompatible producer), not corruption.
-	for _, cr := range comms {
-		if !cr.c.Valid() {
-			return nil, fmt.Errorf("pipeline: snapshot names invalid community %d", int(cr.c))
-		}
-		b.PerCommunity[cr.c] = cr.s
-	}
-	for _, cr := range clusters {
-		ci := cr.info
-		for _, m := range cr.matches {
-			em := annotate.EntryMatch{
-				Matches:       m.matches,
-				MatchFraction: m.matchFraction,
-				MeanDistance:  m.meanDistance,
-			}
-			if em.Entry = site.Entry(m.name); em.Entry == nil {
-				return nil, fmt.Errorf("pipeline: snapshot references entry %q not on the annotation site (wrong site, or filtered differently than at build time)", m.name)
-			}
-			ci.Annotation.Matches = append(ci.Annotation.Matches, em)
-		}
-		if cr.rep != "" {
-			if ci.Annotation.Representative = site.Entry(cr.rep); ci.Annotation.Representative == nil {
-				return nil, fmt.Errorf("pipeline: snapshot references entry %q not on the annotation site", cr.rep)
-			}
-		}
-		if ci.ID != len(b.Clusters) {
-			return nil, fmt.Errorf("pipeline: snapshot cluster %d carries ID %d (stream reordered or corrupt)", len(b.Clusters), ci.ID)
-		}
-		b.Clusters = append(b.Clusters, ci)
-	}
-
-	if reconfig != nil {
-		reconfig(&b.Config)
-	}
-	if err := b.Config.Validate(); err != nil {
-		return nil, err
-	}
-	b.progress = progress
-	b.buildStats.Workers = parallel.Workers(b.Config.Workers)
-
-	// Rebuild the medoid index — the only compute on the load path. The
-	// single load stage event is the observable proof that Steps 2-5 never
-	// ran: a loaded engine's stats carry StageLoad where a built engine's
-	// carry StageCluster and StageAnnotate.
-	em := emitter{stats: &b.buildStats, progress: progress}
-	stageStart := em.start(StageLoad)
-	annotated, err := b.buildIndex()
-	if err != nil {
-		return nil, err
-	}
-	em.done(StageLoad, stageStart, len(b.Clusters))
-
-	fringeImages := 0
-	for _, s := range b.PerCommunity {
-		fringeImages += s.Images
-	}
-	b.buildStats.FringeImages = fringeImages
-	b.buildStats.Clusters = len(b.Clusters)
-	b.buildStats.AnnotatedClusters = annotated
-	b.buildWall = since(start)
-	return b, nil
+	return loadBuildV3(data, site, ds, reconfig, progress)
 }
 
 // --- delta snapshots ---------------------------------------------------------

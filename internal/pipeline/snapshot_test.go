@@ -9,7 +9,6 @@ import (
 
 	"github.com/memes-pipeline/memes/internal/annotate"
 	"github.com/memes-pipeline/memes/internal/dataset"
-	"github.com/memes-pipeline/memes/internal/index"
 )
 
 // resultFingerprint strips the only legitimately run-varying field (Stats)
@@ -20,10 +19,11 @@ func resultFingerprint(r *Result) Result {
 	return fp
 }
 
-// TestSnapshotRoundTripDeterminism is the satellite acceptance test: for
-// every index strategy and several worker counts, Build → Save → Load →
-// Result is byte-identical to the never-persisted engine's Result, and the
-// snapshot bytes themselves are identical across worker counts.
+// TestSnapshotRoundTripDeterminism is the round-trip acceptance test: at
+// several worker counts, Build → Save → Load → Result is byte-identical to
+// the never-persisted engine's Result, re-saving the loaded build
+// reproduces the file, and the snapshot bytes themselves are identical
+// across worker counts.
 func TestSnapshotRoundTripDeterminism(t *testing.T) {
 	ds, err := dataset.Generate(dataset.SmallConfig())
 	if err != nil {
@@ -36,65 +36,65 @@ func TestSnapshotRoundTripDeterminism(t *testing.T) {
 	ctx := context.Background()
 
 	var refSnap []byte
-	for _, strategy := range index.Strategies() {
-		for _, workers := range []int{1, 8} {
-			cfg := DefaultConfig()
-			cfg.Index = strategy
-			cfg.Workers = workers
+	for _, workers := range []int{1, 8} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
 
-			b, err := Build(ctx, ds, site, cfg, nil)
-			if err != nil {
-				t.Fatalf("%s/w%d: Build: %v", strategy, workers, err)
-			}
-			want, err := b.Result(ctx)
-			if err != nil {
-				t.Fatalf("%s/w%d: Result: %v", strategy, workers, err)
-			}
+		b, err := Build(ctx, ds, site, cfg, nil)
+		if err != nil {
+			t.Fatalf("w%d: Build: %v", workers, err)
+		}
+		want, err := b.Result(ctx)
+		if err != nil {
+			t.Fatalf("w%d: Result: %v", workers, err)
+		}
 
-			var buf bytes.Buffer
-			if err := b.Save(&buf); err != nil {
-				t.Fatalf("%s/w%d: Save: %v", strategy, workers, err)
-			}
+		var buf bytes.Buffer
+		if err := b.Save(&buf); err != nil {
+			t.Fatalf("w%d: Save: %v", workers, err)
+		}
 
-			loaded, err := LoadBuild(bytes.NewReader(buf.Bytes()), site, ds, nil, nil)
-			if err != nil {
-				t.Fatalf("%s/w%d: LoadBuild: %v", strategy, workers, err)
-			}
-			got, err := loaded.Result(ctx)
-			if err != nil {
-				t.Fatalf("%s/w%d: loaded Result: %v", strategy, workers, err)
-			}
-			if !reflect.DeepEqual(resultFingerprint(got), resultFingerprint(want)) {
-				t.Errorf("%s/w%d: loaded Result diverges from never-persisted Result", strategy, workers)
-			}
+		loaded, err := LoadBuild(bytes.NewReader(buf.Bytes()), site, ds, nil, nil)
+		if err != nil {
+			t.Fatalf("w%d: LoadBuild: %v", workers, err)
+		}
+		// Load → re-save reproduces the file byte for byte.
+		if resaved := snapshotBytes(t, loaded); !bytes.Equal(resaved, buf.Bytes()) {
+			t.Errorf("w%d: re-saving the loaded build changes the snapshot bytes", workers)
+		}
+		got, err := loaded.Result(ctx)
+		if err != nil {
+			t.Fatalf("w%d: loaded Result: %v", workers, err)
+		}
+		if !reflect.DeepEqual(resultFingerprint(got), resultFingerprint(want)) {
+			t.Errorf("w%d: loaded Result diverges from never-persisted Result", workers)
+		}
 
-			// The loaded build must have done zero Steps 2-5 work: its
-			// stats carry only the load stage.
-			bs := loaded.Stats()
-			if len(bs.Stages) != 1 || bs.Stages[0].Name != StageLoad {
-				t.Errorf("%s/w%d: loaded stats stages = %+v, want [%s]", strategy, workers, bs.Stages, StageLoad)
+		// The loaded build must have done zero Steps 2-5 work: its
+		// stats carry only the load stage.
+		bs := loaded.Stats()
+		if len(bs.Stages) != 1 || bs.Stages[0].Name != StageLoad {
+			t.Errorf("w%d: loaded stats stages = %+v, want [%s]", workers, bs.Stages, StageLoad)
+		}
+		for _, forbidden := range []string{StageCluster, StageNeighbours, StageAnnotate} {
+			if _, ok := bs.Stage(forbidden); ok {
+				t.Errorf("w%d: loaded stats carry build stage %q", workers, forbidden)
 			}
-			for _, forbidden := range []string{StageCluster, StageNeighbours, StageAnnotate} {
-				if _, ok := bs.Stage(forbidden); ok {
-					t.Errorf("%s/w%d: loaded stats carry build stage %q", strategy, workers, forbidden)
-				}
-			}
+		}
 
-			// Snapshot bytes are strategy- and worker-independent except
-			// for the config echo; normalise it and compare to the first.
-			norm := cfg
-			norm.Index = ""
-			norm.Workers = 0
-			b.Config = norm
-			var normBuf bytes.Buffer
-			if err := b.Save(&normBuf); err != nil {
-				t.Fatalf("%s/w%d: normalised Save: %v", strategy, workers, err)
-			}
-			if refSnap == nil {
-				refSnap = normBuf.Bytes()
-			} else if !bytes.Equal(refSnap, normBuf.Bytes()) {
-				t.Errorf("%s/w%d: snapshot bytes differ from reference build", strategy, workers)
-			}
+		// Snapshot bytes are worker-independent except for the config
+		// echo; normalise it and compare to the first.
+		norm := cfg
+		norm.Workers = 0
+		b.Config = norm
+		var normBuf bytes.Buffer
+		if err := b.Save(&normBuf); err != nil {
+			t.Fatalf("w%d: normalised Save: %v", workers, err)
+		}
+		if refSnap == nil {
+			refSnap = normBuf.Bytes()
+		} else if !bytes.Equal(refSnap, normBuf.Bytes()) {
+			t.Errorf("w%d: snapshot bytes differ from reference build", workers)
 		}
 	}
 }
@@ -150,9 +150,8 @@ func TestSnapshotServesWithoutDataset(t *testing.T) {
 	}
 }
 
-// TestSnapshotReconfigOverrides asserts load-time overrides: the index
-// strategy and worker count can be swapped while the served results stay
-// identical.
+// TestSnapshotReconfigOverrides asserts load-time overrides: the worker
+// count can be swapped while the served results stay identical.
 func TestSnapshotReconfigOverrides(t *testing.T) {
 	ds, err := dataset.Generate(dataset.SmallConfig())
 	if err != nil {
@@ -176,30 +175,27 @@ func TestSnapshotReconfigOverrides(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 	snap := buf.Bytes()
-	for _, strategy := range index.Strategies() {
-		loaded, err := LoadBuild(bytes.NewReader(snap), site, nil, func(c *Config) {
-			c.Index = strategy
-			c.Workers = 3
-		}, nil)
-		if err != nil {
-			t.Fatalf("LoadBuild(%s): %v", strategy, err)
-		}
-		if loaded.Config.Index != strategy || loaded.Config.Workers != 3 {
-			t.Fatalf("reconfig not applied: %+v", loaded.Config)
-		}
-		got, err := loaded.Associate(ctx, ds.Posts)
-		if err != nil {
-			t.Fatalf("Associate(%s): %v", strategy, err)
-		}
-		if !reflect.DeepEqual(got, wantAssoc) {
-			t.Fatalf("strategy %s serves different associations after reload", strategy)
-		}
+	loaded, err := LoadBuild(bytes.NewReader(snap), site, nil, func(c *Config) {
+		c.Workers = 3
+	}, nil)
+	if err != nil {
+		t.Fatalf("LoadBuild: %v", err)
 	}
-	// An unknown override strategy fails validation.
+	if loaded.Config.Workers != 3 {
+		t.Fatalf("reconfig not applied: %+v", loaded.Config)
+	}
+	got, err := loaded.Associate(ctx, ds.Posts)
+	if err != nil {
+		t.Fatalf("Associate: %v", err)
+	}
+	if !reflect.DeepEqual(got, wantAssoc) {
+		t.Fatal("a 3-worker reload serves different associations")
+	}
+	// An invalid override fails validation.
 	if _, err := LoadBuild(bytes.NewReader(snap), site, nil, func(c *Config) {
-		c.Index = "bogus"
+		c.Workers = -1
 	}, nil); err == nil {
-		t.Fatal("bogus index strategy accepted at load")
+		t.Fatal("negative worker override accepted at load")
 	}
 }
 

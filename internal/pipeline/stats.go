@@ -11,7 +11,7 @@ const (
 	StageCluster   = "cluster"   // Steps 2-3: per-community DBSCAN + medoids
 	StageAnnotate  = "annotate"  // Step 5: medoid annotation against the site
 	StageAssociate = "associate" // Step 6: post-to-cluster association
-	StageLoad      = "load"      // snapshot decode + index rebuild (replaces Steps 2-5 on LoadBuild)
+	StageLoad      = "load"      // snapshot decode + medoid-scan rebuild (replaces Steps 2-5 on LoadBuild)
 	StageRecluster = "recluster" // streaming ingest: incremental DBSCAN over the affected communities
 
 	// StageNeighbours is the accounting record of DBSCAN's phase one: the

@@ -450,6 +450,10 @@ func TestMetricsScrapeAgreesWithStatsz(t *testing.T) {
 	if code, _ := e.do(t, http.MethodPost, "/v1/match", []byte(`{"hash":"zz"}`), nil); code != http.StatusBadRequest {
 		t.Fatal("bad match did not 400")
 	}
+	// One pixel over the budget: refused from its header with 413.
+	if code, _ := e.do(t, http.MethodPost, "/v1/match/image", zeroPNG(t, 1<<12+1, 1<<12), nil); code != http.StatusRequestEntityTooLarge {
+		t.Fatal("oversized image did not 413")
+	}
 	if _, err := e.srv.Reload(); err != nil {
 		t.Fatalf("reload: %v", err)
 	}
@@ -487,24 +491,26 @@ func TestMetricsScrapeAgreesWithStatsz(t *testing.T) {
 		t.Fatal("statsz failed")
 	}
 	for name, want := range map[string]float64{
-		`memes_requests_total{endpoint="match"}`:     float64(doc.Requests.Match),
-		`memes_requests_total{endpoint="associate"}`: float64(doc.Requests.Associate),
-		`memes_requests_total{endpoint="influence"}`: float64(doc.Requests.Influence),
-		`memes_requests_total{endpoint="report"}`:    float64(doc.Requests.Report),
-		`memes_requests_total{endpoint="reload"}`:    float64(doc.Requests.Reload),
-		`memes_errors_total`:                         float64(doc.Requests.Errors),
-		`memes_match_total{outcome="matched"}`:       float64(doc.Match.Matched),
-		`memes_match_total{outcome="missed"}`:        float64(doc.Match.Missed),
-		`memes_associate_posts_total`:                float64(doc.Associate.Posts),
-		`memes_associations_total`:                   float64(doc.Associate.Associations),
-		`memes_batches_total`:                        float64(doc.Batcher.Batches),
-		`memes_reloads_total`:                        float64(doc.Reloads),
-		`memes_engine_generation`:                    float64(doc.Generation),
-		`memes_clusters`:                             float64(doc.Clusters),
-		`memes_annotated_clusters`:                   float64(doc.AnnotatedClusters),
-		`memes_overload_shed_total`:                  float64(doc.Overload.Shed),
-		`memes_handler_panics_total`:                 float64(doc.Overload.Panics),
-		`memes_degraded`:                             0,
+		`memes_requests_total{endpoint="match"}`:       float64(doc.Requests.Match),
+		`memes_requests_total{endpoint="associate"}`:   float64(doc.Requests.Associate),
+		`memes_requests_total{endpoint="influence"}`:   float64(doc.Requests.Influence),
+		`memes_requests_total{endpoint="report"}`:      float64(doc.Requests.Report),
+		`memes_requests_total{endpoint="reload"}`:      float64(doc.Requests.Reload),
+		`memes_errors_total`:                           float64(doc.Requests.Errors),
+		`memes_match_total{outcome="matched"}`:         float64(doc.Match.Matched),
+		`memes_match_total{outcome="missed"}`:          float64(doc.Match.Missed),
+		`memes_associate_posts_total`:                  float64(doc.Associate.Posts),
+		`memes_associations_total`:                     float64(doc.Associate.Associations),
+		`memes_batches_total`:                          float64(doc.Batcher.Batches),
+		`memes_reloads_total`:                          float64(doc.Reloads),
+		`memes_engine_generation`:                      float64(doc.Generation),
+		`memes_clusters`:                               float64(doc.Clusters),
+		`memes_annotated_clusters`:                     float64(doc.AnnotatedClusters),
+		`memes_overload_shed_total`:                    float64(doc.Overload.Shed),
+		`memes_handler_panics_total`:                   float64(doc.Overload.Panics),
+		`memes_images_too_large_total`:                 float64(doc.Overload.ImagesTooLarge),
+		`memes_requests_total{endpoint="match_image"}`: float64(doc.Requests.MatchImage),
+		`memes_degraded`:                               0,
 	} {
 		got, ok := samples[name]
 		if !ok {

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"compress/zlib"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,5 +413,87 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 	if code, _ := e.do(t, http.MethodGet, "/v1/healthz", nil, nil); code != http.StatusOK {
 		t.Fatalf("healthz after Close: status %d (liveness must outlast readiness)", code)
+	}
+}
+
+// zeroPNG encodes an all-zero 8-bit grayscale PNG of the given size without
+// ever holding its pixels: rows of zeros stream through the compressor, so
+// a decompression bomb costs the test a few hundred KiB, not the hundreds
+// of MiB its decode would.
+func zeroPNG(t *testing.T, width, height int) []byte {
+	t.Helper()
+	chunk := func(buf *bytes.Buffer, typ string, data []byte) {
+		var n [4]byte
+		binary.BigEndian.PutUint32(n[:], uint32(len(data)))
+		buf.Write(n[:])
+		buf.WriteString(typ)
+		buf.Write(data)
+		binary.BigEndian.PutUint32(n[:], crc32.ChecksumIEEE(append([]byte(typ), data...)))
+		buf.Write(n[:])
+	}
+	var out bytes.Buffer
+	out.WriteString("\x89PNG\r\n\x1a\n")
+	ihdr := make([]byte, 13) // bit depth 8, colour type 0 (gray), defaults
+	binary.BigEndian.PutUint32(ihdr[0:], uint32(width))
+	binary.BigEndian.PutUint32(ihdr[4:], uint32(height))
+	ihdr[8] = 8
+	chunk(&out, "IHDR", ihdr)
+	var idat bytes.Buffer
+	zw, err := zlib.NewWriterLevel(&idat, zlib.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]byte, width+1) // filter byte + pixels, all zero
+	for y := 0; y < height; y++ {
+		if _, err := zw.Write(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	chunk(&out, "IDAT", idat.Bytes())
+	chunk(&out, "IEND", nil)
+	return out.Bytes()
+}
+
+// TestMatchImageRejectsPixelBomb posts an all-zero 16000×16000 PNG — about
+// 0.3 MiB on the wire, ~244 MiB once decoded — and asserts it is refused
+// from its header: 413 with the image_too_large reason through the shared
+// error envelope, counted in statsz, and without the server allocating
+// anything near the decoded size. An image inside the budget still
+// decodes and matches.
+func TestMatchImageRejectsPixelBomb(t *testing.T) {
+	e := newTestEnv(t)
+	bomb := zeroPNG(t, 16000, 16000)
+	if len(bomb) > 1<<20 {
+		t.Fatalf("bomb is %d bytes on the wire, want well under 1 MiB", len(bomb))
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, raw := e.do(t, http.MethodPost, "/v1/match/image", bomb, nil)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("bomb status = %d, want 413: %s", code, raw)
+	}
+	if er := decodeError(t, raw); er.Reason != reasonImageTooLarge {
+		t.Fatalf("bomb reason = %q, want %q", er.Reason, reasonImageTooLarge)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+		t.Fatalf("rejecting the bomb allocated %d MiB; the pixels were decoded", grew>>20)
+	}
+
+	var doc StatsDoc
+	if code, _ := e.do(t, http.MethodGet, "/v1/statsz", nil, &doc); code != http.StatusOK {
+		t.Fatal("statsz failed")
+	}
+	if doc.Overload.ImagesTooLarge != 1 || doc.Requests.MatchImage != 1 || doc.Requests.Errors != 1 {
+		t.Fatalf("statsz after the bomb: overload %+v, requests %+v", doc.Overload, doc.Requests)
+	}
+
+	var got matchResponse
+	if code, raw := e.do(t, http.MethodPost, "/v1/match/image", zeroPNG(t, 64, 64), &got); code != http.StatusOK {
+		t.Fatalf("in-budget image status = %d: %s", code, raw)
 	}
 }

@@ -121,6 +121,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Sample("memes_request_timeouts_total", nil, float64(s.stats.timeouts.Load()))
 	e.Counter("memes_handler_panics_total", "Handler panics contained by the recovery middleware.")
 	e.Sample("memes_handler_panics_total", nil, float64(s.stats.panics.Load()))
+	e.Counter("memes_images_too_large_total", "Images refused by /v1/match/image for exceeding the pixel budget (413).")
+	e.Sample("memes_images_too_large_total", nil, float64(s.stats.imagesTooLarge.Load()))
 	e.Gauge("memes_inflight_requests", "Requests currently holding an admission slot.")
 	e.Sample("memes_inflight_requests", nil, float64(len(s.sem)))
 	e.Gauge("memes_max_inflight_requests", "Admission-control bound; 0 when disabled.")
@@ -134,7 +136,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Sample("memes_snapshot_version", nil, float64(eng.SnapshotVersion()))
 	e.Gauge("memes_clusters", "Clusters in the resident artifact.")
 	e.Sample("memes_clusters", nil, float64(len(eng.Clusters())))
-	e.Gauge("memes_annotated_clusters", "Annotated clusters the Step 6 index serves.")
+	e.Gauge("memes_annotated_clusters", "Annotated clusters the Step 6 medoid scan serves.")
 	e.Sample("memes_annotated_clusters", nil, float64(annotatedCount(eng)))
 	e.Gauge("memes_uptime_seconds", "Seconds since the server started.")
 	e.Sample("memes_uptime_seconds", nil, time.Since(s.started).Seconds())

@@ -37,6 +37,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -45,6 +46,7 @@ import (
 	_ "image/gif" // register the stdlib decoders for /v1/match/image
 	_ "image/jpeg"
 	_ "image/png"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -448,9 +450,31 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	s.answerMatch(w, r, h)
 }
 
+// maxImagePixels bounds the width×height of an image POST /v1/match/image
+// will decode (16 Mpx, e.g. 4096×4096). A compressed image can declare far
+// more pixels than its bytes suggest — an all-zero 16000×16000 PNG is
+// 0.27 MiB on the wire and ~244 MiB decoded — while pHash only needs a
+// 32×32 downsample, so larger images are refused from their header alone.
+const maxImagePixels = 1 << 24
+
 func (s *Server) handleMatchImage(w http.ResponseWriter, r *http.Request) {
 	s.stats.matchImageRequests.Add(1)
-	img, _, err := image.Decode(http.MaxBytesReader(w, r.Body, s.maxBody))
+	// Read the header first, keeping the bytes it consumed, and decode the
+	// pixels only once their count is within the budget.
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	var head bytes.Buffer
+	cfg, _, err := image.DecodeConfig(io.TeeReader(body, &head))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, reasonBadRequest, "decoding image: "+err.Error())
+		return
+	}
+	if px := int64(cfg.Width) * int64(cfg.Height); px > maxImagePixels {
+		s.stats.imagesTooLarge.Add(1)
+		s.writeError(w, http.StatusRequestEntityTooLarge, reasonImageTooLarge,
+			fmt.Sprintf("image is %dx%d = %d pixels, over the %d-pixel budget", cfg.Width, cfg.Height, px, maxImagePixels))
+		return
+	}
+	img, _, err := image.Decode(io.MultiReader(&head, body))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, reasonBadRequest, "decoding image: "+err.Error())
 		return
@@ -600,11 +624,12 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			MaxBatch:        s.batch.maxBatch,
 		},
 		Overload: OverloadStats{
-			Shed:        s.stats.shed.Load(),
-			Timeouts:    s.stats.timeouts.Load(),
-			Panics:      s.stats.panics.Load(),
-			InFlight:    len(s.sem),
-			MaxInFlight: cap(s.sem),
+			Shed:           s.stats.shed.Load(),
+			Timeouts:       s.stats.timeouts.Load(),
+			Panics:         s.stats.panics.Load(),
+			ImagesTooLarge: s.stats.imagesTooLarge.Load(),
+			InFlight:       len(s.sem),
+			MaxInFlight:    cap(s.sem),
 		},
 		BuildStats: cli.StatsDoc(eng.BuildStats()),
 	}
@@ -677,7 +702,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 
 // --- helpers -----------------------------------------------------------------
 
-// annotatedCount counts the clusters the Step 6 index actually serves.
+// annotatedCount counts the clusters the Step 6 medoid scan actually serves.
 func annotatedCount(eng *memes.Engine) int {
 	n := 0
 	clusters := eng.Clusters()

@@ -36,6 +36,8 @@ type counters struct {
 	shed     atomic.Int64 // requests refused by admission control (503)
 	timeouts atomic.Int64 // requests answered 504 after their deadline
 	panics   atomic.Int64 // handler/dispatcher panics contained by recovery
+
+	imagesTooLarge atomic.Int64 // /v1/match/image bodies over maxImagePixels (413)
 }
 
 // observeBatch records one micro-batcher fan-out of n coalesced lookups.

@@ -36,6 +36,7 @@ const (
 	reasonJournalDegraded  = "journal_degraded"
 	reasonReloadFailed     = "reload_failed"
 	reasonAnalysisDisabled = "analysis_disabled"
+	reasonImageTooLarge    = "image_too_large"
 )
 
 // errorResponse is the single error envelope of the API: every non-2xx
@@ -224,14 +225,15 @@ type StatsDoc struct {
 }
 
 // OverloadStats surfaces the server's self-protection counters: admission
-// sheds, deadline expiries, contained panics, and the live in-flight level
-// against its bound.
+// sheds, deadline expiries, contained panics, images refused for exceeding
+// the pixel budget, and the live in-flight level against its bound.
 type OverloadStats struct {
-	Shed        int64 `json:"shed"`
-	Timeouts    int64 `json:"timeouts"`
-	Panics      int64 `json:"panics"`
-	InFlight    int   `json:"in_flight"`
-	MaxInFlight int   `json:"max_in_flight"`
+	Shed           int64 `json:"shed"`
+	Timeouts       int64 `json:"timeouts"`
+	Panics         int64 `json:"panics"`
+	ImagesTooLarge int64 `json:"images_too_large"`
+	InFlight       int   `json:"in_flight"`
+	MaxInFlight    int   `json:"max_in_flight"`
 }
 
 // RequestStats counts requests per endpoint plus total error responses.

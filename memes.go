@@ -13,7 +13,7 @@
 //     rationale).
 //   - NewEngine runs the build phase once (pHash clustering of the fringe
 //     communities, screenshot filtering, KYM annotation) and keeps the
-//     annotated-cluster index resident; Engine.Associate, Engine.Match, and
+//     annotated clusters resident; Engine.Associate, Engine.Match, and
 //     Engine.MatchImage then serve goroutine-safe, context-cancellable
 //     queries against it, and Engine.Result materialises the full legacy
 //     result.
@@ -26,7 +26,6 @@
 package memes
 
 import (
-	"context"
 	"image"
 
 	"github.com/memes-pipeline/memes/internal/analysis"
@@ -34,7 +33,6 @@ import (
 	"github.com/memes-pipeline/memes/internal/dataset"
 	"github.com/memes-pipeline/memes/internal/distance"
 	"github.com/memes-pipeline/memes/internal/hawkes"
-	"github.com/memes-pipeline/memes/internal/index"
 	"github.com/memes-pipeline/memes/internal/phash"
 	"github.com/memes-pipeline/memes/internal/pipeline"
 	"github.com/memes-pipeline/memes/internal/screenshot"
@@ -87,26 +85,6 @@ type AnnotationSite = annotate.Site
 // KYMEntry is a single annotation-site entry.
 type KYMEntry = annotate.Entry
 
-// IndexStrategy names a medoid-index implementation for the Step 6 serve
-// path; select one with WithIndex. All strategies produce bitwise-identical
-// pipeline output — they differ only in cost profile.
-type IndexStrategy = index.Strategy
-
-// The built-in index strategies.
-const (
-	// IndexBKTree is a single Burkhard-Keller metric tree (the default).
-	IndexBKTree = index.BKTree
-	// IndexMultiIndex is multi-index hashing: banded exact-match tables
-	// with band probing, the classic fast Hamming-space lookup.
-	IndexMultiIndex = index.MultiIndex
-	// IndexSharded partitions medoids across per-shard BK-trees and fans
-	// each query out across the shards in parallel.
-	IndexSharded = index.Sharded
-)
-
-// IndexStrategies lists every registered index strategy in sorted order.
-func IndexStrategies() []IndexStrategy { return index.Strategies() }
-
 // PipelineConfig holds the pipeline's tunable thresholds.
 type PipelineConfig = pipeline.Config
 
@@ -121,23 +99,6 @@ type Result = pipeline.Result
 // ClusterInfo describes one cluster: its fringe community, medoid, size, and
 // KYM annotation.
 type ClusterInfo = pipeline.ClusterInfo
-
-// Run executes the processing pipeline over a dataset and an annotation
-// site. Use ds.Site(true) for a site with screenshots already filtered, or
-// FilterSiteWithClassifier to run the learned screenshot filter.
-//
-// Deprecated: Run rebuilds the entire Steps 2-5 index on every call and
-// cannot be cancelled. Build the index once with NewEngine and query it with
-// Engine.Associate / Engine.Match; Engine.Result produces exactly the
-// *Result Run returns. Run remains as a thin wrapper (NewEngine + Result)
-// so existing call sites keep working.
-func Run(ds *Dataset, site *AnnotationSite, cfg PipelineConfig) (*Result, error) {
-	eng, err := NewEngine(context.Background(), ds, site, WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return eng.result()
-}
 
 // Metric is the custom inter-cluster distance metric of Section 2.3.
 type Metric = distance.Metric
